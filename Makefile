@@ -20,6 +20,20 @@ lint:
 	dune exec bin/lint.exe -- --ruleset runtime --json test/fixtures \
 	  > $(ARTIFACTS)/psnap-lint-fixtures.json; test $$? -eq 1
 
+# Polymorphic-comparison check: build the core libraries with -S into a
+# separate build directory and fail on any call to the polymorphic
+# comparison primitives (caml_compare, caml_equal, caml_lessthan, ...),
+# reported at its source line.  On an int, an int-typed comparison is one
+# instruction; the polymorphic one is a C call.
+POLYCMP_LIBS := lib/snapshot/psnap_snapshot lib/activeset/psnap_activeset \
+  lib/runtime/psnap_runtime lib/mem/psnap_mem lib/interval/psnap_interval
+polycmp:
+	rm -rf _polycmp
+	dune build --profile polycmp --build-dir _polycmp \
+	  $(addsuffix .cmxa,$(POLYCMP_LIBS))
+	awk -f tools/polycmp.awk $$(find \
+	  $(addprefix _polycmp/default/,$(dir $(POLYCMP_LIBS))) -name '*.s')
+
 # Happens-before race checking (docs/MODEL.md §12): run every seeded
 # fixture under round-robin + seeded random schedules; racy fixtures must
 # race under every schedule and clean ones under none, and each racy
@@ -264,6 +278,6 @@ pin-outputs:
 
 clean:
 	dune clean
-	rm -rf $(ARTIFACTS)
+	rm -rf $(ARTIFACTS) _polycmp
 
-.PHONY: all test lint race bench chaos chaos-mem chaos-runtime chaos-durable chaos-net chaos-txn chaos-reconfig chaos-all loadgen-smoke examples pin-outputs clean
+.PHONY: all test lint polycmp race bench chaos chaos-mem chaos-runtime chaos-durable chaos-net chaos-txn chaos-reconfig chaos-all loadgen-smoke examples pin-outputs clean

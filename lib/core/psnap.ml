@@ -94,6 +94,7 @@ module Snapshot = struct
   module View_repr = Psnap_snapshot.View_repr
   module Tag = Psnap_snapshot.Tag
   module Collect = Psnap_snapshot.Collect
+  module Idxs = Psnap_snapshot.Idxs
   module Announce = Psnap_snapshot.Announce
 
   (** Figure 3 — the paper's main algorithm: local O(r²) scans. *)

@@ -6,7 +6,7 @@ type t = (int * int) list
 
 let empty = []
 
-let is_empty s = s = []
+let is_empty = function [] -> true | _ :: _ -> false
 
 let rec insert lo hi = function
   | [] -> [ (lo, hi) ]
@@ -27,7 +27,7 @@ let add_range ~lo ~hi s =
 
 let add i s = insert i i s
 
-let rec mem i = function
+let rec mem (i : int) = function
   | [] -> false
   | (lo, hi) :: rest -> if i < lo then false else i <= hi || mem i rest
 
@@ -69,7 +69,11 @@ let fold_gaps ~lo ~hi f init s =
   in
   go init lo s
 
-let equal = ( = )
+let rec equal (a : t) (b : t) =
+  match (a, b) with
+  | [], [] -> true
+  | (la, ha) :: a, (lb, hb) :: b -> la = lb && ha = hb && equal a b
+  | _ -> false
 
 let invariant_ok s =
   let rec go = function

@@ -88,6 +88,8 @@ let stats () =
     retries = !s_retries;
   }
 
+let evidence () = !s_corrupt + !s_stale + !s_lost + !s_retries
+
 let reset_stats () =
   s_corrupt := 0;
   s_stale := 0;

@@ -25,6 +25,11 @@ type stats = {
 
 val stats : unit -> stats
 
+val evidence : unit -> int
+(** [corrupt_detected + stale_detected + lost_detected + retries] of
+    {!stats}, without allocating: the fault evidence a supervisor samples
+    around each operation. *)
+
 val reset_stats : unit -> unit
 
 (** A single base cell with tagged values: detects corruption and

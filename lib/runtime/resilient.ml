@@ -17,14 +17,14 @@
      quiescence, copied by one final sub-scan, rebuilt on the replacement
      implementation [R] (hardened memory), and swapped in by CAS.
 
-   Values are stored as [((epoch, nonce), v)].  Epochs come from a
+   Values are stored as [{ epoch; nonce; v }] entries.  Epochs come from a
    per-shard, per-generation fetch&increment cell and give scans their
-   ABA-free validation (as in Sharded); the nonce is drawn from a plain
-   OCaml counter and makes tags unique even when the epoch cell is stuck
-   (a stuck fetch&add returns the same epoch twice — the nonce keeps the
-   two updates distinguishable, so validation never silently accepts a
-   changed component, and the non-monotone draw is itself the detector
-   that triggers healing). *)
+   ABA-free validation (as in Sharded); the nonce is drawn per handle and
+   makes tags unique even when the epoch cell is stuck (a stuck fetch&add
+   returns the same epoch twice — the nonce keeps the two updates
+   distinguishable, so validation never silently accepts a changed
+   component, and the non-monotone draw is itself the detector that
+   triggers healing). *)
 
 module Metrics = Psnap_sched.Metrics
 
@@ -58,28 +58,20 @@ struct
     Printf.sprintf "resilient-%dx%s%s" C.shards S.name
       (match C.partition with `Round_robin -> "" | `Range -> "/range")
 
-  (* Nonce source: a plain (step-free) OCaml counter, exactly like the
-     hardened registers' tag nonces — supervisor bookkeeping, not shared
-     algorithm state.  Under the cooperative simulator increments are
-     atomic between scheduling points; under real domains they are
-     unsynchronized, and a duplicated nonce merely weakens one validation
-     comparison to epoch-only (Sharded's guarantee). *)
-  let nonce_counter = ref 0
+  (** What a shard stores per component: the value and its
+      [(epoch, nonce)] tag. *)
+  type 'a entry = { epoch : int; nonce : int; v : 'a }
 
-  let next_nonce () =
-    incr nonce_counter;
-    !nonce_counter
-
-  type tag = int * int  (** (epoch, nonce) *)
+  let same_tag a b = a.epoch = b.epoch && a.nonce = b.nonce
 
   type 'a impl =
-    | Prim of (tag * 'a) S.t  (** original shard instance *)
-    | Healed of (tag * 'a) R.t  (** post-heal replacement instance *)
+    | Prim of 'a entry S.t  (** original shard instance *)
+    | Healed of 'a entry R.t  (** post-heal replacement instance *)
 
   type 'a shard_state = {
     gen : int;  (** generation: bumped by every completed heal *)
     impl : 'a impl;
-    epoch : int M.ref_;  (** per-generation epoch source; a heal installs
+    epoch_cell : int M.ref_;  (** per-generation epoch source; a heal installs
                              a fresh cell, so a stuck one is left behind *)
   }
 
@@ -110,14 +102,19 @@ struct
                                       install window, per shard *)
     scratch : int M.ref_;  (** backoff target: reads cost steps/yield *)
     breakers : breaker array;
+    handles_made : int array;
+        (** per pid: handles created so far, numbering each handle's
+            nonce range (a restarted process gets a fresh one) *)
     n : int;
-    nshards : int;
-    m : int;
-    q : int;
-    rem : int;
+    place : Placement.t;
   }
 
-  type 'a shard_handle = HP of (tag * 'a) S.handle | HR of (tag * 'a) R.handle
+  (* A process's handle on one shard instance, of either implementation. *)
+  type 'a shard_handle = {
+    scan : int array -> 'a entry array;
+    update : int -> 'a entry -> unit;
+    collects : unit -> int;  (** collects of this handle's last scan *)
+  }
 
   type 'a handle = {
     t : 'a t;
@@ -128,6 +125,8 @@ struct
     last_epoch : int array;  (** newest epoch drawn per shard (this handle) *)
     last_gen : int array;
     stuck_reported : bool array;  (** one heal trigger per (shard, handle) *)
+    mutable nonce_seq : int;  (** see [next_nonce] *)
+    mutable tag_epoch : int;  (** epoch of this handle's latest update *)
     mutable collects : int;
     mutable rounds : int;
     mutable degraded : bool;
@@ -142,54 +141,26 @@ struct
         rounds : int;
       }
 
-  (* ---- geometry (same placement functions as Sharded) ---- *)
-
-  let locate t i =
-    match C.partition with
-    | `Round_robin -> (i mod t.nshards, i / t.nshards)
-    | `Range ->
-      let cut = t.rem * (t.q + 1) in
-      if i < cut then (i / (t.q + 1), i mod (t.q + 1))
-      else
-        let j = i - cut in
-        (t.rem + (j / t.q), j mod t.q)
-
-  let shard_size t s =
-    match C.partition with
-    | `Round_robin -> (t.m - s + t.nshards - 1) / t.nshards
-    | `Range -> if s < t.rem then t.q + 1 else t.q
-
   let create ~n init =
-    let m = Array.length init in
-    if m = 0 then invalid_arg "Resilient.create: empty";
-    if C.shards < 1 then invalid_arg "Resilient.create: shards < 1";
+    let place =
+      Placement.create ~what:"Resilient.create" ~partition:C.partition
+        ~shards:C.shards (Array.length init)
+    in
     if C.max_rounds < 2 then invalid_arg "Resilient.create: max_rounds < 2";
     if C.heal_quiesce < 1 then invalid_arg "Resilient.create: heal_quiesce < 1";
-    let nshards = min C.shards m in
-    let q = m / nshards and rem = m mod nshards in
-    let size s =
-      match C.partition with
-      | `Round_robin -> (m - s + nshards - 1) / nshards
-      | `Range -> if s < rem then q + 1 else q
-    in
-    let global s j =
-      match C.partition with
-      | `Round_robin -> (j * nshards) + s
-      | `Range ->
-        if s < rem then (s * (q + 1)) + j
-        else (rem * (q + 1)) + ((s - rem) * q) + j
-    in
+    let nshards = place.Placement.nshards in
     let ptrs =
-      Array.init nshards (fun s ->
-          let sub =
-            S.create ~n
-              (Array.init (size s) (fun j -> ((0, 0), init.(global s j))))
-          in
+      Array.mapi
+        (fun s vals ->
+          let sub = S.create ~n vals in
           (* drawn epochs start at 1: never collide with the initial 0 *)
-          let epoch = M.make ~name:(Printf.sprintf "rshard%d.epoch" s) 1 in
+          let epoch_cell =
+            M.make ~name:(Printf.sprintf "rshard%d.epoch" s) 1
+          in
           M.make
             ~name:(Printf.sprintf "rshard%d.ptr" s)
-            (Active { gen = 1; impl = Prim sub; epoch }))
+            (Active { gen = 1; impl = Prim sub; epoch_cell }))
+        (Placement.split place init (fun v -> { epoch = 0; nonce = 0; v }))
     in
     let inflight =
       Array.init nshards (fun s ->
@@ -202,21 +173,25 @@ struct
       breakers =
         Array.init nshards (fun _ ->
             { bstate = Closed; strikes = 0; cooldown = 0; probes = 0 });
+      handles_made = Array.make n 0;
       n;
-      nshards;
-      m;
-      q;
-      rem;
+      place;
     }
 
   let handle t ~pid =
+    if pid < 0 || pid >= t.n then invalid_arg "Resilient.handle: pid";
+    let nshards = t.place.Placement.nshards in
+    let inc = t.handles_made.(pid) in
+    t.handles_made.(pid) <- inc + 1;
     {
       t;
       pid;
-      cache = Array.make t.nshards None;
-      last_epoch = Array.make t.nshards (-1);
-      last_gen = Array.make t.nshards 0;
-      stuck_reported = Array.make t.nshards false;
+      cache = Array.make nshards None;
+      last_epoch = Array.make nshards (-1);
+      last_gen = Array.make nshards 0;
+      stuck_reported = Array.make nshards false;
+      nonce_seq = inc lsl 32;
+      tag_epoch = 0;
       collects = 0;
       rounds = 0;
       degraded = false;
@@ -263,8 +238,7 @@ struct
   let breaker_skips t s =
     let b = t.breakers.(s) in
     match b.bstate with
-    | Closed -> false
-    | Half_open -> false
+    | Closed | Half_open -> false
     | Open ->
       if b.cooldown > 0 then b.cooldown <- b.cooldown - 1;
       if b.cooldown <= 0 then begin
@@ -313,17 +287,18 @@ struct
           Metrics.note_heal `Aborted
       end
       else begin
-        let idxs = Array.init (shard_size t s) Fun.id in
+        let idxs = Array.init (Placement.size t.place s) Fun.id in
         let rows =
           match st.impl with
           | Prim p -> S.scan (S.handle p ~pid) idxs
           | Healed r -> R.scan (R.handle r ~pid) idxs
         in
-        let maxe = Array.fold_left (fun a ((e, _), _) -> max a e) 0 rows in
-        let epoch =
+        let maxe = Array.fold_left (fun a x -> Int.max a x.epoch) 0 rows in
+        let epoch_cell =
           M.make ~name:(Printf.sprintf "rshard%d.epoch" s) (maxe + 1)
         in
-        let st' = Active { gen = st.gen + 1; impl = Healed (R.create ~n:t.n rows); epoch } in
+        let impl = Healed (R.create ~n:t.n rows) in
+        let st' = Active { gen = st.gen + 1; impl; epoch_cell } in
         if M.cas t.ptrs.(s) ~expected:sealed ~desired:st' then begin
           reclose t s;
           Metrics.note_heal `Completed
@@ -335,12 +310,9 @@ struct
   let request_heal t ~pid s =
     (match M.read t.ptrs.(s) with
     | Sealed _ -> ()
-    | Active _ as cur -> (
-      match cur with
-      | Active st ->
-        if M.cas t.ptrs.(s) ~expected:cur ~desired:(Sealed st) then
-          Metrics.note_heal `Started
-      | Sealed _ -> ()));
+    | Active st as cur ->
+      if M.cas t.ptrs.(s) ~expected:cur ~desired:(Sealed st) then
+        Metrics.note_heal `Started);
     complete_heal t ~pid s
 
   (* Current Active state of a shard, helping any in-progress heal.
@@ -364,20 +336,34 @@ struct
     | _ ->
       let hd =
         match st.impl with
-        | Prim p -> HP (S.handle p ~pid:h.pid)
-        | Healed r -> HR (R.handle r ~pid:h.pid)
+        | Prim p ->
+          let x = S.handle p ~pid:h.pid in
+          let collects () = S.last_scan_collects x in
+          { scan = S.scan x; update = S.update x; collects }
+        | Healed r ->
+          let x = R.handle r ~pid:h.pid in
+          let collects () = R.last_scan_collects x in
+          { scan = R.scan x; update = R.update x; collects }
       in
       h.cache.(s) <- Some (st.gen, hd);
       hd
 
   (* ---- update ---- *)
 
+  (* Tag nonces, unique per object by construction and drawn without any
+     shared write: the [inc]-th handle of process [pid] issues
+     [(inc * 2^32 + seq) * n + pid] for seq = 1, 2, ...  Initial entries
+     carry nonce 0, which no update issues. *)
+  let next_nonce h =
+    h.nonce_seq <- h.nonce_seq + 1;
+    (h.nonce_seq * h.t.n) + h.pid
+
   let[@psnap.bounded
        "retries only while the shard is Sealed; complete_heal unseals it \
         (swap or abort) before the retry"] rec update h i v =
     let t = h.t in
-    if i < 0 || i >= t.m then invalid_arg "Resilient.update: index";
-    let s, j = locate t i in
+    Placement.check t.place ~err:"Resilient.update: index" i;
+    let s = Placement.shard_of t.place i in
     ignore (M.fetch_and_add t.inflight.(s) 1);
     match M.read t.ptrs.(s) with
     | Sealed _ ->
@@ -387,7 +373,7 @@ struct
       complete_heal t ~pid:h.pid s;
       update h i v
     | Active st ->
-      let e = M.fetch_and_add st.epoch 1 in
+      let e = M.fetch_and_add st.epoch_cell 1 in
       (* Epoch draws are strictly increasing per generation unless the
          cell stopped applying adds (Stuck_cell).  The nonce keeps the
          update's tag unique regardless, so we install first — the object
@@ -396,10 +382,10 @@ struct
          us). *)
       let stuck = st.gen = h.last_gen.(s) && e <= h.last_epoch.(s) in
       h.last_gen.(s) <- st.gen;
-      h.last_epoch.(s) <- max e h.last_epoch.(s);
-      (match handle_for h s st with
-      | HP hp -> S.update hp j ((e, next_nonce ()), v)
-      | HR hr -> R.update hr j ((e, next_nonce ()), v));
+      h.last_epoch.(s) <- Int.max e h.last_epoch.(s);
+      let x = { epoch = e; nonce = next_nonce h; v } in
+      h.tag_epoch <- e;
+      (handle_for h s st).update (Placement.slot_of t.place i) x;
       ignore (M.fetch_and_add t.inflight.(s) (-1));
       if stuck then begin
         Metrics.note_stuck_epoch ();
@@ -419,8 +405,8 @@ struct
      scanners de-synchronize without any randomness to replay. *)
   let backoff h attempt =
     if C.backoff_base > 0 then begin
-      let d = min C.backoff_max (C.backoff_base lsl min attempt 16) in
-      let d = max 1 d in
+      let d = Int.min C.backoff_max (C.backoff_base lsl Int.min attempt 16) in
+      let d = Int.max 1 d in
       let steps = d + (((h.pid * 31) + (attempt * 17)) mod (d + 1)) in
       Metrics.note_backoff steps;
       for _ = 1 to steps do
@@ -428,179 +414,104 @@ struct
       done
     end
 
-  let hardened_evidence () =
-    let s = Psnap_mem.Hardened.stats () in
-    s.Psnap_mem.Hardened.corrupt_detected + s.stale_detected + s.lost_detected
-    + s.retries
+  (* One sub-scan of shard [s] through its current instance.  Hardened
+     detections that surface during it are attributed to [s] — a heuristic
+     (other processes run concurrently), but fault-saturated shards
+     dominate the deltas they sit on. *)
+  let sub_scan h s slots =
+    let ev0 = Psnap_mem.Hardened.evidence () in
+    let hd = handle_for h s (active_state h.t ~pid:h.pid s) in
+    let rows = hd.scan slots in
+    h.collects <- h.collects + hd.collects ();
+    if Psnap_mem.Hardened.evidence () > ev0 then strike h.t s;
+    rows
+
+  (* One round: a sub-scan of every touched shard, in shard order. *)
+  let round h g =
+    h.rounds <- h.rounds + 1;
+    Placement.map_touched g h sub_scan
+
+  (* Components that failed validation, with the epoch last seen. *)
+  let failed_of idxs (g : Placement.groups) prev cur dis =
+    List.concat_map
+      (fun k ->
+        let pk = prev.(k) and ck = cur.(k) and pos = g.pos.(k) in
+        let acc = ref [] in
+        for p = Array.length pk - 1 downto 0 do
+          if not (same_tag pk.(p) ck.(p)) then
+            acc := (idxs.(pos.(p)), ck.(p).epoch) :: !acc
+        done;
+        !acc)
+      dis
+
+  (* A successful validation clears strikes (or counts as a probe) on
+     every shard it covered. *)
+  let validated h (g : Placement.groups) skip =
+    for k = 0 to Array.length skip - 1 do
+      if not skip.(k) then breaker_ok h.t g.touched.(k)
+    done
+
+  (* Atomic when no shard is suspect, else Degraded. *)
+  let conclude h g idxs ~suspects ~failed rows =
+    Metrics.note_scan_rounds h.rounds;
+    let len = Array.length idxs in
+    let values = Placement.scatter g ~len rows (fun x -> x.v) in
+    match suspects with
+    | [] -> Atomic values
+    | _ ->
+      h.degraded <- true;
+      Metrics.note_degraded_scan ();
+      Degraded { values; suspects; failed; rounds = h.rounds }
+
+  (* Epoch-validated double collect over whole rounds, with a round
+     budget: C.max_rounds rounds in total, then Degraded. *)
+  let[@psnap.bounded
+       "at most C.max_rounds rounds: every iteration increments h.rounds \
+        and the budget check precedes the recursion"] rec settle h idxs g
+      skip ~suspects prev =
+    let cur = round h g in
+    match Placement.disagreeing ~skip same_tag prev cur with
+    | [] ->
+      validated h g skip;
+      conclude h g idxs ~suspects ~failed:[] cur
+    | dis when h.rounds >= C.max_rounds ->
+      let failing = List.map (fun k -> g.Placement.touched.(k)) dis in
+      List.iter (fun s -> strike h.t s) failing;
+      conclude h g idxs ~suspects:(suspects @ failing)
+        ~failed:(failed_of idxs g prev cur dis) cur
+    | _ ->
+      backoff h (h.rounds - 1);
+      settle h idxs g skip ~suspects cur
 
   let scan_outcome h idxs =
-    let t = h.t in
-    let len = Array.length idxs in
     h.collects <- 0;
     h.rounds <- 0;
     h.degraded <- false;
-    if len = 0 then Atomic [||]
+    if Array.length idxs = 0 then Atomic [||]
     else begin
-      Array.iter
-        (fun i ->
-          if i < 0 || i >= t.m then invalid_arg "Resilient.scan: index")
-        idxs;
-      (* group requested components by shard (same layout as Sharded) *)
-      let locs = Array.make t.nshards [] in
-      for k = len - 1 downto 0 do
-        let s, j = locate t idxs.(k) in
-        locs.(s) <- (j, k) :: locs.(s)
-      done;
-      let touched = ref [] in
-      for s = t.nshards - 1 downto 0 do
-        if locs.(s) <> [] then touched := s :: !touched
-      done;
-      let touched = Array.of_list !touched in
-      let nt = Array.length touched in
-      let sub_idx =
-        Array.map (fun s -> Array.of_list (List.map fst locs.(s))) touched
-      in
-      let sub_pos =
-        Array.map (fun s -> Array.of_list (List.map snd locs.(s))) touched
-      in
+      let g = Placement.group h.t.place ~err:"Resilient.scan: index" idxs in
       (* open circuits: their sub-scan is taken once, unvalidated; the
          result is a per-shard-atomic fragment and the scan is Degraded *)
-      let skip = Array.map (fun s -> breaker_skips t s) touched in
-      let n_validated = ref 0 in
-      Array.iter (fun sk -> if not sk then incr n_validated) skip;
-      let open_suspects =
-        Array.to_list touched
-        |> List.filteri (fun k _ -> skip.(k))
-      in
-      let round () =
-        h.rounds <- h.rounds + 1;
-        Array.init nt (fun k ->
-            let s = touched.(k) in
-            let ev0 = hardened_evidence () in
-            let st = active_state t ~pid:h.pid s in
-            let rows =
-              match handle_for h s st with
-              | HP hp ->
-                let r = S.scan hp sub_idx.(k) in
-                h.collects <- h.collects + S.last_scan_collects hp;
-                r
-              | HR hr ->
-                let r = R.scan hr sub_idx.(k) in
-                h.collects <- h.collects + R.last_scan_collects hr;
-                r
-            in
-            (* hardened detections that surfaced during this sub-scan are
-               attributed to this shard — a heuristic (other processes run
-               concurrently), but fault-saturated shards dominate the
-               deltas they sit on *)
-            if hardened_evidence () > ev0 then strike t s;
-            rows)
-      in
-      let emit rows =
-        let _, v0 = rows.(0).(0) in
-        let out = Array.make len v0 in
-        for k = 0 to nt - 1 do
-          let pos = sub_pos.(k) and row = rows.(k) in
-          for p = 0 to Array.length row - 1 do
-            out.(pos.(p)) <- snd row.(p)
-          done
-        done;
-        out
-      in
-      (* shards (by position k) whose tags changed between two rounds —
-         only validated shards participate *)
-      let disagreeing prev cur =
-        let dis = ref [] in
-        for k = nt - 1 downto 0 do
-          if not skip.(k) then begin
-            let pk = prev.(k) and ck = cur.(k) in
-            let differs = ref false in
-            for p = 0 to Array.length pk - 1 do
-              if fst pk.(p) <> fst ck.(p) then differs := true
-            done;
-            if !differs then dis := k :: !dis
-          end
-        done;
-        !dis
-      in
-      (* components that failed validation, with the epoch last seen *)
-      let failed_of prev cur dis =
-        List.concat_map
-          (fun k ->
-            let pk = prev.(k) and ck = cur.(k) and pos = sub_pos.(k) in
-            let acc = ref [] in
-            for p = Array.length pk - 1 downto 0 do
-              if fst pk.(p) <> fst ck.(p) then
-                acc := (idxs.(pos.(p)), fst (fst ck.(p))) :: !acc
-            done;
-            !acc)
-          dis
-      in
-      let finish outcome =
-        Metrics.note_scan_rounds h.rounds;
-        (match outcome with
-        | Degraded _ ->
-          h.degraded <- true;
-          Metrics.note_degraded_scan ()
-        | Atomic _ -> ());
-        outcome
-      in
-      if !n_validated >= 2 then begin
-        (* epoch-validated double collect over whole rounds, with a round
-           budget: C.max_rounds rounds in total, then Degraded *)
-        let[@psnap.bounded
-             "at most C.max_rounds rounds: every iteration increments \
-              h.rounds and the budget check precedes the recursion"] rec
-            settle prev =
-          let cur = round () in
-          match disagreeing prev cur with
-          | [] ->
-            Array.iteri (fun k s -> if not skip.(k) then breaker_ok t s) touched;
-            if open_suspects = [] then finish (Atomic (emit cur))
-            else
-              finish
-                (Degraded
-                   {
-                     values = emit cur;
-                     suspects = open_suspects;
-                     failed = [];
-                     rounds = h.rounds;
-                   })
-          | dis when h.rounds >= C.max_rounds ->
-            let suspects = List.map (fun k -> touched.(k)) dis in
-            List.iter (fun s -> strike t s) suspects;
-            finish
-              (Degraded
-                 {
-                   values = emit cur;
-                   suspects = open_suspects @ suspects;
-                   failed = failed_of prev cur dis;
-                   rounds = h.rounds;
-                 })
-          | _ ->
-            backoff h (h.rounds - 1);
-            settle cur
-        in
-        settle (round ())
-      end
+      let nt = Array.length g.touched in
+      let skip = Array.make nt false and suspects = ref [] in
+      for k = nt - 1 downto 0 do
+        if breaker_skips h.t g.touched.(k) then begin
+          skip.(k) <- true;
+          suspects := g.touched.(k) :: !suspects
+        end
+      done;
+      let suspects = !suspects in
+      if nt - List.length suspects >= 2 then
+        settle h idxs g skip ~suspects (round h g)
       else begin
         (* 0 or 1 validated shards: a single round suffices — each
            sub-scan is linearizable on its own, so one validated shard
            needs no cross-round agreement (and its trivially successful
            validation still counts as a probe) while open shards never
            get one *)
-        let cur = round () in
-        Array.iteri (fun k s -> if not skip.(k) then breaker_ok t s) touched;
-        if open_suspects = [] then finish (Atomic (emit cur))
-        else
-          finish
-            (Degraded
-               {
-                 values = emit cur;
-                 suspects = open_suspects;
-                 failed = [];
-                 rounds = h.rounds;
-               })
+        let cur = round h g in
+        validated h g skip;
+        conclude h g idxs ~suspects ~failed:[] cur
       end
     end
 
@@ -615,9 +526,13 @@ struct
 
   let last_scan_degraded h = h.degraded
 
+  let last_tag h =
+    if h.tag_epoch = 0 then (0, 0)
+    else (h.tag_epoch, (h.nonce_seq * h.t.n) + h.pid)
+
   (* ---- introspection / administration ---- *)
 
-  let nshards t = t.nshards
+  let nshards t = t.place.Placement.nshards
 
   let breaker_state t s = t.breakers.(s).bstate
 

@@ -26,7 +26,7 @@
 
     Each shard has a closed / open / half-open breaker fed by three
     evidence streams: hardened-register fault detections
-    ({!Psnap_mem.Hardened.stats} deltas sampled around each sub-scan),
+    ({!Psnap_mem.Hardened.evidence} deltas sampled around each sub-scan),
     validation-failure attribution from budget-exhausted scans, and
     stuck-epoch detections from updates.  [C.breaker_threshold]
     consecutive strikes open the circuit; while open, scans read the
@@ -61,7 +61,11 @@
     Updates remain bounded: even with a stuck epoch cell the update
     installs immediately — tags are [(epoch, nonce)] pairs and the nonce
     alone makes every tag unique, so validation never mistakes a changed
-    component for an unchanged one even while epochs repeat.
+    component for an unchanged one even while epochs repeat.  Nonces are
+    drawn per handle, with no shared write: the [c]-th handle created
+    for process [pid] issues [(c·2{^32} + seq)·n + pid] for its [seq]-th
+    update, so two handles never issue the same nonce, not even a
+    handle re-created for a restarted process.
 
     All supervision events are counted in {!Psnap_sched.Metrics}
     ([serving]): rounds, retries, degraded scans, backoff steps, breaker
@@ -134,6 +138,7 @@ module Make
   val create : n:int -> 'a array -> 'a t
 
   val handle : 'a t -> pid:int -> 'a handle
+  (** @raise Invalid_argument unless [0 <= pid < n]. *)
 
   val update : 'a handle -> int -> 'a -> unit
   (** Bounded: one inflight increment, one pointer read, one epoch draw,
@@ -158,6 +163,10 @@ module Make
 
   val last_scan_degraded : 'a handle -> bool
   (** Whether this handle's most recent scan returned [Degraded]. *)
+
+  val last_tag : 'a handle -> int * int
+  (** The [(epoch, nonce)] tag this handle's most recent update
+      installed ([(0, 0)] before its first update). *)
 
   val nshards : 'a t -> int
   (** Effective shard count ([min C.shards m]). *)

@@ -34,10 +34,7 @@ struct
     epochs : int M.ref_ array;  (** per-shard epoch source: every update
                                     draws a fresh shard-unique epoch by
                                     fetch&increment *)
-    nshards : int;  (** [min C.shards m]: no shard is ever empty *)
-    m : int;
-    q : int;  (** range partition: base block size [m / nshards] *)
-    rem : int;  (** range partition: the first [rem] shards get [q+1] *)
+    place : Placement.t;
   }
 
   type 'a handle = {
@@ -47,46 +44,20 @@ struct
     mutable rounds : int;  (** validation rounds of the most recent scan *)
   }
 
-  (* component i -> (shard, local index) *)
-  let locate t i =
-    match C.partition with
-    | `Round_robin -> (i mod t.nshards, i / t.nshards)
-    | `Range ->
-      let cut = t.rem * (t.q + 1) in
-      if i < cut then (i / (t.q + 1), i mod (t.q + 1))
-      else
-        let j = i - cut in
-        (t.rem + (j / t.q), j mod t.q)
-
   let create ~n init =
-    let m = Array.length init in
-    if m = 0 then invalid_arg "Sharded.create: empty";
-    if C.shards < 1 then invalid_arg "Sharded.create: shards < 1";
-    let nshards = min C.shards m in
-    let q = m / nshards and rem = m mod nshards in
-    let size s =
-      match C.partition with
-      | `Round_robin -> (m - s + nshards - 1) / nshards
-      | `Range -> if s < rem then q + 1 else q
-    in
-    (* inverse of [locate]: the global index of shard [s]'s slot [j] *)
-    let global s j =
-      match C.partition with
-      | `Round_robin -> (j * nshards) + s
-      | `Range ->
-        if s < rem then (s * (q + 1)) + j
-        else (rem * (q + 1)) + ((s - rem) * q) + j
+    let place =
+      Placement.create ~what:"Sharded.create" ~partition:C.partition
+        ~shards:C.shards (Array.length init)
     in
     let sub =
-      Array.init nshards (fun s ->
-          S.create ~n (Array.init (size s) (fun j -> (0, init.(global s j)))))
+      Array.map (S.create ~n) (Placement.split place init (fun v -> (0, v)))
     in
     (* drawn epochs start at 1, so they never collide with the initial 0 *)
     let epochs =
-      Array.init nshards (fun s ->
+      Array.init (Array.length sub) (fun s ->
           M.make ~name:(Printf.sprintf "shard%d.epoch" s) 1)
     in
-    { sub; epochs; nshards; m; q; rem }
+    { sub; epochs; place }
 
   let handle t ~pid =
     {
@@ -97,95 +68,58 @@ struct
     }
 
   let update h i v =
-    let t = h.t in
-    if i < 0 || i >= t.m then invalid_arg "Sharded.update: index";
-    let s, j = locate t i in
-    let e = M.fetch_and_add t.epochs.(s) 1 in
-    S.update h.hs.(s) j (e, v)
+    let p = h.t.place in
+    Placement.check p ~err:"Sharded.update: index" i;
+    let s = Placement.shard_of p i in
+    let e = M.fetch_and_add h.t.epochs.(s) 1 in
+    S.update h.hs.(s) (Placement.slot_of p i) (e, v)
+
+  let sub_scan h s slots =
+    let r = S.scan h.hs.(s) slots in
+    h.collects <- h.collects + S.last_scan_collects h.hs.(s);
+    r
+
+  (* One round: a partial scan of every touched shard, in shard order.
+     Each sub-scan is linearizable on its own; rounds execute
+     sequentially. *)
+  let round h g =
+    h.rounds <- h.rounds + 1;
+    Placement.map_touched g h sub_scan
+
+  let same_epoch ((e : int), _) (e', _) = e = e'
+
+  (* Sliding double collect over whole rounds: a retry costs one extra
+     round, and only when some touched component really changed —
+     lock-free, and never stuck behind a crashed updater (a crashed update
+     either installed its epoch or never will; neither makes consecutive
+     rounds disagree forever).  Epochs identify updates uniquely per
+     shard, so equal epoch vectors across two consecutive rounds mean no
+     touched component changed between them (no ABA). *)
+  let rec settle h g ~skip prev =
+    let cur = round h g in
+    match Placement.disagreeing ~skip same_epoch prev cur with
+    | [] -> cur
+    | _ :: _ -> settle h g ~skip cur
 
   let scan h idxs =
-    let t = h.t in
     let len = Array.length idxs in
     h.collects <- 0;
     h.rounds <- 0;
     if len = 0 then [||]
     else begin
-      Array.iter
-        (fun i -> if i < 0 || i >= t.m then invalid_arg "Sharded.scan: index")
-        idxs;
-      (* group the requested components by shard, remembering each one's
-         slot in the output vector *)
-      let locs = Array.make t.nshards [] in
-      for k = len - 1 downto 0 do
-        let s, j = locate t idxs.(k) in
-        locs.(s) <- (j, k) :: locs.(s)
-      done;
-      let touched = ref [] in
-      for s = t.nshards - 1 downto 0 do
-        if locs.(s) <> [] then touched := s :: !touched
-      done;
-      let touched = Array.of_list !touched in
-      let nt = Array.length touched in
-      let sub_idx =
-        Array.map (fun s -> Array.of_list (List.map fst locs.(s))) touched
-      in
-      let sub_pos =
-        Array.map (fun s -> Array.of_list (List.map snd locs.(s))) touched
-      in
-      (* one round: a partial scan of every touched shard.  Each sub-scan
-         is linearizable on its own; rounds execute sequentially. *)
-      let round () =
-        h.rounds <- h.rounds + 1;
-        Array.init nt (fun k ->
-            let r = S.scan h.hs.(touched.(k)) sub_idx.(k) in
-            h.collects <- h.collects + S.last_scan_collects h.hs.(touched.(k));
-            r)
-      in
-      (* epochs identify updates uniquely per shard, so equal epoch
-         vectors across two consecutive rounds mean no touched component
-         changed between the two rounds' sub-scans (no ABA). *)
-      let agree a b =
-        let ok = ref true in
-        for k = 0 to nt - 1 do
-          let ak = a.(k) and bk = b.(k) in
-          for p = 0 to Array.length ak - 1 do
-            if fst ak.(p) <> fst bk.(p) then ok := false
-          done
-        done;
-        !ok
-      in
-      let emit rows =
-        let _, v0 = rows.(0).(0) in
-        let out = Array.make len v0 in
-        for k = 0 to nt - 1 do
-          let pos = sub_pos.(k) and row = rows.(k) in
-          for p = 0 to Array.length row - 1 do
-            out.(pos.(p)) <- snd row.(p)
-          done
-        done;
-        out
-      in
-      let out =
-        if relaxed || nt = 1 then
+      let g = Placement.group h.t.place ~err:"Sharded.scan: index" idxs in
+      let rows =
+        if relaxed || Array.length g.touched = 1 then
           (* a single sub-scan is linearizable on its own: scans that stay
              inside one shard (the common case under range partitioning
              with window workloads) need no validation round *)
-          emit (round ())
-        else begin
-          (* sliding double collect over whole rounds: retry costs one
-             extra round, and only when some touched component really
-             changed — lock-free, and never stuck behind a crashed updater
-             (a crashed update either installed its epoch or never will;
-             neither makes consecutive rounds disagree forever). *)
-          let rec settle prev =
-            let cur = round () in
-            if agree prev cur then emit cur else settle cur
-          in
-          settle (round ())
-        end
+          round h g
+        else
+          let skip = Array.make (Array.length g.touched) false in
+          settle h g ~skip (round h g)
       in
       Psnap_sched.Metrics.note_scan_rounds h.rounds;
-      out
+      Placement.scatter g ~len rows snd
     end
 
   let last_scan_collects h = h.collects

@@ -49,85 +49,133 @@ module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) = struct
     | Fresh (idxs, vals) -> V.publish ~idxs ~vals
     | Borrowed view -> view
 
+  (* Position of [i] in the strictly increasing [sorted], or -1. *)
+  let[@psnap.local_state
+       "binary-search bounds over an already-read (immutable) result; \
+        purely local scratch"] find_pos (sorted : int array) (i : int) =
+    let lo = ref 0 and hi = ref (Array.length sorted - 1) and pos = ref (-1) in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let x = sorted.(mid) in
+      if x = i then begin
+        pos := mid;
+        lo := !hi + 1
+      end
+      else if x < i then lo := mid + 1
+      else hi := mid - 1
+    done;
+    !pos
+
+  let value_at sorted vals i =
+    let p = find_pos sorted i in
+    if p < 0 then invalid_arg "Collect.extract: component not scanned";
+    vals.(p)
+
   (** [extract result idxs]: the values of [idxs] (any order, duplicates
       allowed).  Local for [Fresh]; pays [V.find_exn] per component for
       [Borrowed]. *)
   let extract result idxs =
     match result with
     | Fresh (sorted, vals) ->
-      let[@psnap.local_state
-           "binary search over the already-read (immutable) result arrays; \
-            purely local scratch"] find i =
-        let lo = ref 0 and hi = ref (Array.length sorted - 1) in
-        let res = ref None in
-        while !lo <= !hi do
-          let mid = (!lo + !hi) / 2 in
-          if sorted.(mid) = i then begin
-            res := Some vals.(mid);
-            lo := !hi + 1
-          end
-          else if sorted.(mid) < i then lo := mid + 1
-          else hi := mid - 1
+      let n = Array.length idxs in
+      if n = 0 then [||]
+      else
+        let[@psnap.local_state
+             "the result vector under construction, returned to the caller"] out =
+          Array.make n (value_at sorted vals idxs.(0))
+        in
+        for k = 1 to n - 1 do
+          out.(k) <- value_at sorted vals idxs.(k)
         done;
-        match !res with
-        | Some v -> v
-        | None -> invalid_arg "Collect.extract: component not scanned"
-      in
-      Array.map find idxs
+        out
     | Borrowed view -> Array.map (V.find_exn view) idxs
 
-  let collect regs idxs = Array.map (fun i -> M.read regs.(i)) idxs
+  let check_idxs (idxs : int array) =
+    for k = 1 to Array.length idxs - 1 do
+      if idxs.(k - 1) >= idxs.(k) then
+        invalid_arg "Collect: indices must be strictly increasing"
+    done
 
-  let same_collect c1 c2 =
-    let n = Array.length c1 in
-    let rec go k = k >= n || (Tag.equal c1.(k).tag c2.(k).tag && go (k + 1)) in
-    go 0
+  (* One collect, from position [k0] on: read each register of [idxs] into
+     [buf], in order. *)
+  let[@psnap.local_state
+       "fills one of the scan's two private collect buffers"] read_into regs
+      idxs buf k0 =
+    for k = k0 to Array.length idxs - 1 do
+      buf.(k) <- M.read regs.(idxs.(k))
+    done
 
-  let check_idxs idxs =
-    Array.iteri
-      (fun k i ->
-        if k > 0 && idxs.(k - 1) >= i then
-          invalid_arg "Collect: indices must be strictly increasing")
-      idxs
-
-  (* Generic double-collect loop: [note] inspects every freshly read cell
-     and returns a view to trigger condition (2). *)
-  let scan_loop (type a) regs idxs ~(note : int -> a cell -> a V.t option) :
-      a result * stats =
-    check_idxs idxs;
-    if Array.length idxs = 0 then
-      (Fresh ([||], [||]), { collects = 0; borrowed = false })
+  (* The borrowing rule over a completed collect, in index order: the
+     first view it asks to borrow, if any. *)
+  let rec first_borrow state note buf k =
+    if k >= Array.length buf then None
     else
-      let exception Borrow of a V.t * int in
-      try
-        let[@psnap.local_state
-             "scan-private collect counter, reported in the stats record"] collects =
-          ref 0
-        in
-        let do_collect () =
-          let cur = collect regs idxs in
-          incr collects;
-          Array.iteri
-            (fun k c ->
-              match note k c with
-              | Some view -> raise (Borrow (view, !collects))
-              | None -> ())
-            cur;
-          cur
-        in
-        let[@psnap.bounded
-             "terminates by condition (1) or (2): within 2·Cu+1 collects for \
-              scan_per_process (Theorem 1), 2r+1 for scan_per_location \
-              (Theorem 3)"] rec go prev =
-          let cur = do_collect () in
-          if same_collect prev cur then
-            ( Fresh (Array.copy idxs, Array.map (fun c -> c.v) cur),
-              { collects = !collects; borrowed = false } )
-          else go cur
-        in
-        let first = do_collect () in
-        go first
-      with Borrow (view, n) -> (Borrowed view, { collects = n; borrowed = true })
+      match note state k buf.(k) with
+      | None -> first_borrow state note buf (k + 1)
+      | borrow -> borrow
+
+  let rec same_from c1 c2 k =
+    k >= Array.length c1
+    || (Tag.equal c1.(k).tag c2.(k).tag && same_from c1 c2 (k + 1))
+
+  (* Condition (1): two consecutive collects with identical tag vectors. *)
+  let same_collect c1 c2 = same_from c1 c2 0
+
+  (* The double-collect loop after the first collect: [prev] holds
+     collect number [collects - 1]; [cur] is overwritten by collect number
+     [collects], and the two buffers swap roles on every retry. *)
+  let[@psnap.bounded
+       "terminates by condition (1) or (2): within 2·Cu+1 collects for \
+        scan_per_process (Theorem 1), 2r+1 for scan_per_location \
+        (Theorem 3)"] rec settle regs idxs state note prev cur collects =
+    read_into regs idxs cur 0;
+    match first_borrow state note cur 0 with
+    | Some view -> (Borrowed view, { collects; borrowed = true })
+    | None ->
+      if same_collect prev cur then
+        (Fresh (idxs, Array.map (fun c -> c.v) cur), { collects; borrowed = false })
+      else settle regs idxs state note cur prev (collects + 1)
+
+  (* Generic double-collect scan: [note state k cell] inspects every
+     freshly read cell, in index order, and returns a view to trigger
+     condition (2).  A [Fresh] result shares [idxs], which the callers
+     never mutate afterwards (a scan's private sorted copy, an updater's
+     private union of announcements, or a fixed all-components array). *)
+  let scan_loop regs idxs state note =
+    check_idxs idxs;
+    let r = Array.length idxs in
+    if r = 0 then (Fresh ([||], [||]), { collects = 0; borrowed = false })
+    else
+      let c0 = M.read regs.(idxs.(0)) in
+      let first = Array.make r c0 in
+      read_into regs idxs first 1;
+      match first_borrow state note first 0 with
+      | Some view -> (Borrowed view, { collects = 1; borrowed = true })
+      | None -> settle regs idxs state note first (Array.make r c0) 2
+
+  (* [baseline.(k)]: the last tag seen in location [k]; [fresh]: per
+     updating process, the (seq, view) pairs it was observed to write
+     during this scan. *)
+  let[@psnap.local_state
+       "scan-private baseline and change table, created per scan by \
+        scan_per_process"] note_process (baseline, fresh) k (c : _ cell) =
+    match baseline.(k) with
+    | Some t when Tag.equal t c.tag -> None
+    | before -> (
+      baseline.(k) <- Some c.tag;
+      match (before, c.tag) with
+      | None, _ -> None (* first collect: baseline only *)
+      | Some _, Tag.Init ->
+        assert false (* registers never revert to their initial value *)
+      | Some _, Tag.W { pid; seq } -> (
+        let l = try Hashtbl.find fresh pid with Not_found -> [] in
+        if List.mem_assoc seq l then None
+        else
+          let l = (seq, c.view) :: l in
+          Hashtbl.replace fresh pid l;
+          match l with
+          | (s1, v1) :: (s2, v2) :: _ -> Some (if s1 > s2 then v1 else v2)
+          | _ -> None))
 
   (** Figure 1 / Afek et al. termination: "three different values written by
       the same process have been seen (in any locations)".
@@ -153,42 +201,32 @@ module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) = struct
         : (int, (int * a V.t) list) Hashtbl.t =
       Hashtbl.create 16
     in
-    let note k (c : a cell) =
-      match baseline.(k) with
-      | Some t when Tag.equal t c.tag -> None
-      | before -> (
-        baseline.(k) <- Some c.tag;
-        match (before, c.tag) with
-        | None, _ -> None (* first collect: baseline only *)
-        | Some _, Tag.Init ->
-          assert false (* registers never revert to their initial value *)
-        | Some _, Tag.W { pid; seq } -> (
-          let l = try Hashtbl.find fresh pid with Not_found -> [] in
-          if List.mem_assoc seq l then None
-          else
-            let l = (seq, c.view) :: l in
-            Hashtbl.replace fresh pid l;
-            match l with
-            | (s1, v1) :: (s2, v2) :: _ -> Some (if s1 > s2 then v1 else v2)
-            | _ -> None))
-    in
-    scan_loop regs idxs ~note
+    scan_loop regs idxs (baseline, fresh) note_process
+
+  let rec has_tag t = function
+    | [] -> false
+    | u :: l -> Tag.equal t u || has_tag t l
+
+  (* [seen.(k)]: the distinct tags seen so far in location [k], at most
+     two — the third distinct one is borrowed on sight. *)
+  let[@psnap.local_state
+       "scan-private record of the distinct tags seen per location"] note_location
+      seen k (c : _ cell) =
+    let l = seen.(k) in
+    if has_tag c.tag l then None
+    else
+      match l with
+      | [ _; _ ] -> Some c.view
+      | _ ->
+        seen.(k) <- c.tag :: l;
+        None
 
   (** Figure 3 termination: three distinct values in the same location;
       borrow the view of the third value seen there. *)
-  let scan_per_location (type a) (regs : a cell M.ref_ array) idxs :
-      a result * stats =
+  let scan_per_location regs idxs =
     let[@psnap.local_state
          "scan-private list of distinct tags seen per location"] seen =
       Array.make (Array.length idxs) []
     in
-    let note k (c : a cell) =
-      let l = seen.(k) in
-      if List.exists (fun t -> Tag.equal t c.tag) l then None
-      else begin
-        seen.(k) <- c.tag :: l;
-        if List.length seen.(k) >= 3 then Some c.view else None
-      end
-    in
-    scan_loop regs idxs ~note
+    scan_loop regs idxs seen note_location
 end

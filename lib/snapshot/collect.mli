@@ -50,20 +50,16 @@ module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) : sig
       @raise Invalid_argument if a component was not scanned. *)
   val extract : 'a result -> int array -> 'a array
 
-  (** One collect: read each register of [idxs], in order. *)
-  val collect : 'a cell M.ref_ array -> int array -> 'a cell array
-
-  (** Tag-vector equality of two collects (condition (1) test). *)
-  val same_collect : 'a cell array -> 'a cell array -> bool
-
   (** Figure 1 / Afek et al. termination rule.  [idxs] strictly
-      increasing.
+      increasing; a [Fresh] result shares it, so the caller must not
+      mutate it afterwards.
       @raise Invalid_argument otherwise. *)
   val scan_per_process : 'a cell M.ref_ array -> int array -> 'a result * stats
 
   (** Figure 3 termination rule: borrow the view of the third distinct
       value seen in one location.  Sound only when updates install with
-      CAS.  [idxs] strictly increasing.
+      CAS.  [idxs] strictly increasing and, as above, not mutated
+      afterwards.
       @raise Invalid_argument otherwise. *)
   val scan_per_location :
     'a cell M.ref_ array -> int array -> 'a result * stats

@@ -24,7 +24,7 @@ struct
 
   let name = "farray-aset"
 
-  let rec merge a b =
+  let rec merge (a : int list) b =
     match (a, b) with
     | [], rest | rest, [] -> rest
     | x :: xs, y :: ys ->

@@ -83,7 +83,7 @@ module Make_repr
     install ()
 
   let scan h idxs =
-    let sorted = Array.of_list (List.sort_uniq compare (Array.to_list idxs)) in
+    let sorted = Idxs.sort_uniq idxs in
     Ann.announce h.t.ann ~pid:h.pid sorted;
     A.join h.a;
     let result, st = C.scan_per_location h.t.regs sorted in

@@ -67,7 +67,7 @@ module Make (M : Psnap_mem.Mem_intf.S) = struct
     go 0
 
   let scan h idxs =
-    let sorted = Array.of_list (List.sort_uniq compare (Array.to_list idxs)) in
+    let sorted = Idxs.sort_uniq idxs in
     let collect () = Array.map (fun i -> M.read h.t.regs.(i)) sorted in
     let[@psnap.bounded
          "deliberately only non-blocking — the Section 3 baseline without \

@@ -185,6 +185,22 @@ let values_belong_prop =
       ignore (Sim.run ~sched:(scheduler_of w) procs);
       !ok)
 
+(* the scans' shared sort-and-dedup: small value ranges force duplicates,
+   lengths straddle the insertion-sort cutoff *)
+let sort_uniq_prop =
+  QCheck2.Test.make ~name:"Idxs.sort_uniq = List.sort_uniq compare"
+    ~count:500
+    ~print:QCheck2.Print.(array int)
+    QCheck2.Gen.(
+      let* range = int_range 1 100 in
+      array_size (int_range 0 80) (int_range (-range) range))
+    (fun a ->
+      let before = Array.copy a in
+      let got = Snapshot.Idxs.sort_uniq a in
+      got = Array.of_list (List.sort_uniq compare (Array.to_list a))
+      && a = before
+      && (Array.length a = 0 || got != a))
+
 let snapshot_impls : (string * (module SNAP)) list =
   [
     ("afek", (module Sim_afek));
@@ -224,4 +240,5 @@ let () =
           aset_impls );
       ( "values",
         [ QCheck_alcotest.to_alcotest values_belong_prop ] );
+      ("indices", [ QCheck_alcotest.to_alcotest sort_uniq_prop ]);
     ]

@@ -244,6 +244,57 @@ let test_stuck_epoch_triggers_heal () =
   check_bool "validated scans of the rebuilt shard" true
     (!post_heal_atomic >= 1)
 
+(* ---- tags: (epoch, nonce) unique across handles ---- *)
+
+(* Two processes update shard 0 while its epoch cell is stuck, so epoch
+   draws repeat.  Each first restarts six times — a fresh handle per
+   update, so no handle sees its own draw repeat and nothing triggers a
+   heal — then runs one handle long enough to detect the stuck cell, and
+   finally, after an explicit heal, updates the rebuilt instance through
+   yet another handle.  No two updates may install the same (epoch,
+   nonce) tag: the nonce carries uniqueness whenever the epoch does not. *)
+let test_tags_unique_across_handles () =
+  reset ();
+  let m = 8 in
+  let t = RS.create ~n:2 (Array.init m (fun i -> -(i + 1))) in
+  let tags = ref [] in
+  let healed_gen = ref 0 in
+  (* components 0 and 4: shard 0 under round-robin x4 *)
+  let update h k =
+    RS.update h (4 * (k mod 2)) k;
+    tags := RS.last_tag h :: !tags
+  in
+  let proc pid () =
+    for k = 1 to 6 do
+      update (RS.handle t ~pid) k
+    done;
+    let h = RS.handle t ~pid in
+    for k = 1 to 12 do
+      update h k
+    done;
+    if pid = 0 then RS.heal t ~pid 0;
+    let h = RS.handle t ~pid in
+    for k = 1 to 6 do
+      update h k
+    done;
+    if pid = 0 then healed_gen := RS.shard_gen t ~pid 0
+  in
+  ignore
+    (Sim.run
+       ~sched:
+         (Scheduler.mem_fault_on_cell ~kind:Event.Stuck_cell
+            ~name_prefix:"rshard0.epoch" (rr ()))
+       [| proc 0; proc 1 |]);
+  let tags = !tags in
+  check_int "every update recorded" 48 (List.length tags);
+  check_int "no two updates share a tag" 48
+    (List.length (List.sort_uniq compare tags));
+  let stuck_epoch = fst (List.nth tags (List.length tags - 1)) in
+  check_bool "the restarts all drew the stuck epoch" true
+    (List.length (List.filter (fun (e, _) -> e = stuck_epoch) tags) >= 12);
+  check_bool "updates landed on a healed shard" true (!healed_gen > 1);
+  check_bool "no update kept the initial tag" false (List.mem (0, 0) tags)
+
 (* ---- chaos campaign: Atomic is always linearizable, budgets hold ---- *)
 
 let chaos_campaign ~seeds ~stick =
@@ -386,6 +437,8 @@ let () =
             test_heal_preserves_values;
           Alcotest.test_case "stuck epoch triggers a rebuild" `Quick
             test_stuck_epoch_triggers_heal;
+          Alcotest.test_case "tags unique across handles and heals" `Quick
+            test_tags_unique_across_handles;
         ] );
       ( "chaos",
         [

@@ -220,6 +220,91 @@ let test_partitioners_roundtrip () =
       roundtrip (sharded_mc ~shards:8 ~partition ~mode:`Validated) ~m:3)
     [ `Round_robin; `Range ]
 
+(* ---- scan argument shapes through the shard layer ---- *)
+
+let resilient_mc ~shards ~partition : (module Snapshot.S) =
+  let module R =
+    Psnap_runtime.Resilient.Make (Mem.Atomic) (Mc_fig3) (Mc_fig3)
+      (struct
+        let shards = shards
+        let partition = partition
+        let max_rounds = 6
+        let backoff_base = 2
+        let backoff_max = 16
+        let breaker_threshold = 3
+        let breaker_cooldown = 4
+        let probe_successes = 2
+        let heal_quiesce = 64
+      end)
+  in
+  (module R.Snap)
+
+(* m=10 over 3 shards: range blocks [0-3] [4-6] [7-9], round-robin
+   stripes i mod 3 *)
+let shard_layers =
+  List.concat_map
+    (fun (pname, partition) ->
+      [
+        ( "sharded/" ^ pname,
+          sharded_mc ~shards:3 ~partition ~mode:`Validated );
+        ("resilient/" ^ pname, resilient_mc ~shards:3 ~partition);
+      ])
+    [ ("round-robin", `Round_robin); ("range", `Range) ]
+
+let test_shard_scan_shapes () =
+  let m = 10 in
+  List.iter
+    (fun (name, (module S : Snapshot.S)) ->
+      let model = Array.init m (fun i -> -(i + 1)) in
+      let t = S.create ~n:1 (Array.copy model) in
+      let h = S.handle t ~pid:0 in
+      let check what idxs =
+        Alcotest.(check (array int))
+          (name ^ ": " ^ what)
+          (Array.map (fun i -> model.(i)) idxs)
+          (S.scan h idxs)
+      in
+      let shapes () =
+        check "empty" [||];
+        check "unsorted" [| 7; 2; 9; 0; 5 |];
+        check "duplicates" [| 3; 3; 0; 3; 9; 9 |];
+        check "unsorted duplicates in every shard" [| 9; 1; 4; 1; 9; 6; 4 |];
+        (* every window: inside one shard, across shard boundaries, and
+           wrapping around m *)
+        for base = 0 to m - 1 do
+          for w = 1 to m do
+            check
+              (Printf.sprintf "window %d+%d" base w)
+              (Array.init w (fun k -> (base + k) mod m))
+          done
+        done
+      in
+      shapes ();
+      for i = 0 to m - 1 do
+        model.(i) <- 100 + i;
+        S.update h i model.(i)
+      done;
+      shapes ();
+      (* random updates and random shapes against the model *)
+      let st = Random.State.make [| 12 |] in
+      for k = 1 to 300 do
+        if Random.State.bool st then begin
+          let i = Random.State.int st m in
+          model.(i) <- 1000 + k;
+          S.update h i model.(i)
+        end
+        else
+          check "random shape"
+            (Array.init (Random.State.int st 13) (fun _ -> Random.State.int st m))
+      done;
+      Alcotest.check_raises (name ^ ": index out of range")
+        (Invalid_argument
+           (if String.starts_with ~prefix:"sharded" name then
+              "Sharded.scan: index"
+            else "Resilient.scan: index"))
+        (fun () -> ignore (S.scan h [| 0; m |])))
+    shard_layers
+
 (* ---- sharded snapshot: exact linearizability on small histories ---- *)
 
 let test_sharded_exact_lincheck () =
@@ -485,6 +570,8 @@ let () =
         ] );
       ( "sharded",
         [
+          Alcotest.test_case "scan shapes vs sequential model" `Quick
+            test_shard_scan_shapes;
           Alcotest.test_case "partitioners roundtrip" `Quick
             test_partitioners_roundtrip;
           Alcotest.test_case "exact lincheck, small histories" `Quick
