@@ -81,7 +81,8 @@ module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) = struct
       if n = 0 then [||]
       else
         let[@psnap.local_state
-             "the result vector under construction, returned to the caller"] out =
+             "the result vector under construction, returned to the \
+              caller"] out =
           Array.make n (value_at sorted vals idxs.(0))
         in
         for k = 1 to n - 1 do
@@ -114,12 +115,11 @@ module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) = struct
       | None -> first_borrow state note buf (k + 1)
       | borrow -> borrow
 
+  (* Condition (1), from position [k] on: two consecutive collects with
+     identical tag vectors. *)
   let rec same_from c1 c2 k =
     k >= Array.length c1
     || (Tag.equal c1.(k).tag c2.(k).tag && same_from c1 c2 (k + 1))
-
-  (* Condition (1): two consecutive collects with identical tag vectors. *)
-  let same_collect c1 c2 = same_from c1 c2 0
 
   (* The double-collect loop after the first collect: [prev] holds
      collect number [collects - 1]; [cur] is overwritten by collect number
@@ -132,8 +132,9 @@ module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) = struct
     match first_borrow state note cur 0 with
     | Some view -> (Borrowed view, { collects; borrowed = true })
     | None ->
-      if same_collect prev cur then
-        (Fresh (idxs, Array.map (fun c -> c.v) cur), { collects; borrowed = false })
+      if same_from prev cur 0 then
+        let vals = Array.map (fun c -> c.v) cur in
+        (Fresh (idxs, vals), { collects; borrowed = false })
       else settle regs idxs state note cur prev (collects + 1)
 
   (* Generic double-collect scan: [note state k cell] inspects every
