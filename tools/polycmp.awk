@@ -17,7 +17,7 @@ $1 == ".file" && NF >= 3 {
 
 $1 == ".loc" { here = files[$2] ":" $3 }
 
-/caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)[^_a-zA-Z0-9]/ {
+/caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)([^_a-zA-Z0-9]|$)/ {
   sym = $0
   sub(/^.*caml_/, "caml_", sym)
   sub(/[^_a-zA-Z0-9].*$/, "", sym)
