@@ -57,12 +57,16 @@ examples:
 # gitignored _artifacts/ directory; CI uploads it wholesale.
 ARTIFACTS := _artifacts
 
+# What every chaos-* campaign needs first: the two executables built and the
+# artifacts directory in place.
+campaign-build:
+	dune build bin/simulate.exe bin/loadgen.exe
+	mkdir -p $(ARTIFACTS)
+
 # Fault-injection campaign (E14): seeded chaos / crash-storm nemeses over
 # Figures 1 and 3 with the observation checker on; each run writes a JSON
 # metrics summary (uploaded as a CI artifact).  Budgeted well under 60 s.
-chaos:
-	dune build bin/simulate.exe
-	mkdir -p $(ARTIFACTS)
+chaos: campaign-build
 	dune exec bin/simulate.exe -- --impl fig1 --nemesis chaos --seeds 40 \
 	  --check --json $(ARTIFACTS)/chaos-fig1.json
 	dune exec bin/simulate.exe -- --impl fig3 --nemesis chaos --seeds 40 \
@@ -78,9 +82,7 @@ chaos:
 # over hardened registers must pass the identical storm.  CHAOS_MEM_SEED
 # lets CI sweep seeds.
 CHAOS_MEM_SEED ?= 0
-chaos-mem:
-	dune build bin/simulate.exe
-	mkdir -p $(ARTIFACTS)
+chaos-mem: campaign-build
 	dune exec bin/simulate.exe -- --impl fig3 --mem-faults corrupt \
 	  --mem-rate 0.05 --mem-max 12 --seed $(CHAOS_MEM_SEED) --seeds 20 \
 	  --check --expect-violations --shrink \
@@ -114,9 +116,7 @@ loadgen-smoke:
 # stuck-epoch runs must complete at least one shard rebuild with validated
 # post-rebuild scans; the loadgen run pins tail latency with one circuit
 # forced open.  JSON summaries land in _artifacts/ for CI upload.
-chaos-runtime:
-	dune build bin/simulate.exe bin/loadgen.exe
-	mkdir -p $(ARTIFACTS)
+chaos-runtime: campaign-build
 	dune exec bin/simulate.exe -- --impl resilient --shards 4 \
 	  --nemesis chaos --stick-epoch 0 --seeds 10 --check \
 	  --json $(ARTIFACTS)/chaos-runtime-stuck-epoch.json
@@ -146,9 +146,7 @@ chaos-runtime:
 # schedules/); the loadgen run prices the WAL against plain fig3.
 # CHAOS_DURABLE_SEED lets CI sweep seeds.
 CHAOS_DURABLE_SEED ?= 0
-chaos-durable:
-	dune build bin/simulate.exe bin/loadgen.exe
-	mkdir -p $(ARTIFACTS)
+chaos-durable: campaign-build
 	dune exec bin/simulate.exe -- --impl durable -m 8 -r 4 --updaters 2 \
 	  --updates 5 --scanners 1 --scans 3 --power-loss sweep \
 	  --seed $(CHAOS_DURABLE_SEED) --seeds 2 \
@@ -174,9 +172,7 @@ chaos-durable:
 # transport).  The weak-read witness is committed in schedules/ and
 # replayed by dune runtest.  CHAOS_NET_SEED lets CI sweep seeds.
 CHAOS_NET_SEED ?= 0
-chaos-net:
-	dune build bin/simulate.exe bin/loadgen.exe
-	mkdir -p $(ARTIFACTS)
+chaos-net: campaign-build
 	dune exec bin/simulate.exe -- --impl fig3 --mem net --replicas 3 \
 	  --net-nemesis partition_storm --seed $(CHAOS_NET_SEED) --seeds 3 \
 	  --check --json $(ARTIFACTS)/chaos-net-partition-$(CHAOS_NET_SEED).json
@@ -201,9 +197,7 @@ chaos-net:
 # read-mostly transaction mix and reports the abort rate.
 # CHAOS_TXN_SEED lets CI sweep seeds.
 CHAOS_TXN_SEED ?= 0
-chaos-txn:
-	dune build bin/simulate.exe bin/loadgen.exe
-	mkdir -p $(ARTIFACTS)
+chaos-txn: campaign-build
 	dune exec bin/simulate.exe -- --impl txn --nemesis chaos \
 	  --seed $(CHAOS_TXN_SEED) --seeds 25 --check \
 	  --json $(ARTIFACTS)/chaos-txn-fcw-$(CHAOS_TXN_SEED).json
@@ -229,9 +223,7 @@ chaos-txn:
 # kills a majority under load and must return to Atomic service.
 # CHAOS_RECONFIG_SEED lets CI sweep seeds.
 CHAOS_RECONFIG_SEED ?= 0
-chaos-reconfig:
-	dune build bin/simulate.exe bin/loadgen.exe
-	mkdir -p $(ARTIFACTS)
+chaos-reconfig: campaign-build
 	dune exec bin/simulate.exe -- --reconfig fenced --replicas 3 --spares 2 \
 	  --reconfig-nemesis replica_death --net-nemesis partition_storm \
 	  --seed $(CHAOS_RECONFIG_SEED) --seeds 3 --check \
@@ -280,4 +272,4 @@ clean:
 	dune clean
 	rm -rf $(ARTIFACTS) _polycmp
 
-.PHONY: all test lint polycmp race bench chaos chaos-mem chaos-runtime chaos-durable chaos-net chaos-txn chaos-reconfig chaos-all loadgen-smoke examples pin-outputs clean
+.PHONY: all test lint polycmp race bench campaign-build chaos chaos-mem chaos-runtime chaos-durable chaos-net chaos-txn chaos-reconfig chaos-all loadgen-smoke examples pin-outputs clean

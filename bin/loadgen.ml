@@ -13,6 +13,7 @@
 
 open Psnap
 module Table = Psnap_harness.Table
+module Json = Psnap_harness.Json
 module Loadgen = Psnap_runtime.Loadgen
 module Histogram = Psnap_runtime.Histogram
 
@@ -156,19 +157,6 @@ let seconds_of s =
   else if n > 1 && s.[n - 1] = 's' then num (String.sub s 0 (n - 1))
   else num s
 
-let write_json path fields =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          Printf.fprintf oc "  %S: %s%s\n" k v
-            (if i < List.length fields - 1 then "," else ""))
-        fields;
-      output_string oc "}\n")
-
 (* ---- reconfigure-under-load (EXPERIMENTS.md E21, wall-clock side) ----
 
    [domains] writer domains hammer one ABD register each while the
@@ -201,12 +189,6 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
   Metrics.reset_net ();
   Metrics.reset_serving ();
   Metrics.reset_reconfig ();
-  let dbg0 =
-    if Sys.getenv_opt "PSNAP_RECONFIG_DEBUG" <> None then
-      fun s -> Printf.eprintf "[ul] %s\n%!" s
-    else fun _ -> ()
-  in
-  dbg0 "building cluster";
   (* Bounded attempt budgets: with members dying permanently, an
      operation must give up as [Unavailable] and chase the new
      configuration instead of waiting forever for a dead quorum's acks. *)
@@ -225,13 +207,11 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
           A.mc_wake cluster
         done)
   in
-  dbg0 "spawning replica domains";
   let pool = replicas + spares in
   let rdomains =
     List.init pool (fun i -> Domain.spawn (A.mc_replica_body cluster ~index:i))
   in
   let rc = R.mc_attach ~mode:R.Fenced cluster in
-  dbg0 "creating registers";
   let regs =
     Array.init domains (fun d ->
         A.Mc_mem.make ~name:(Printf.sprintf "ul.reg.%d" d) 0)
@@ -266,19 +246,12 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
        if v < last_acked.(d) then lost.(d) <- true
      with Psnap.Net.Unavailable _ -> ())
   in
-  let dbg =
-    if Sys.getenv_opt "PSNAP_RECONFIG_DEBUG" <> None then
-      fun fmt -> Printf.eprintf fmt
-    else fun fmt -> Printf.ifprintf stderr fmt
-  in
-  dbg "[ul] registers created\n%!";
   let workers = List.init domains (fun d -> Domain.spawn (worker d)) in
   let t0 = Unix.gettimeofday () in
   let sleep s = ignore (Unix.select [] [] [] s) in
   let replace_retries = ref 0 in
   sleep (duration_s /. 8.);
   for i = 0 to kill_n - 1 do
-    dbg "[ul] killing pool replica %d\n%!" i;
     A.mc_kill cluster ~index:i;
     let cfg = R.mc_current_config rc in
     let dead = List.nth (A.mc_pool_nodes cluster) i in
@@ -301,22 +274,17 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
             i
     in
     attempt 0;
-    dbg "[ul] replacement %d installed (epoch %d)\n%!" i
-      (R.mc_current_config rc).A.epoch;
     sleep (duration_s /. 8.)
   done;
   Atomic.set done_at (Unix.gettimeofday ());
   let elapsed = Unix.gettimeofday () -. t0 in
   if elapsed < duration_s then sleep (duration_s -. elapsed);
   Atomic.set stop true;
-  dbg "[ul] joining workers\n%!";
   List.iter Domain.join workers;
-  dbg "[ul] stopping replicas\n%!";
   A.mc_stop cluster;
   List.iter Domain.join rdomains;
   Atomic.set waker_stop true;
   Domain.join waker;
-  dbg "[ul] replicas joined\n%!";
   let rm = Metrics.reconfig () in
   let nv = Metrics.net () in
   let recovered = Array.for_all (fun b -> b) post_ok in
@@ -339,7 +307,7 @@ let run_reconfig_scenario replicas spares kill_n domains duration json_file =
     rm.Metrics.stale_rejects rm.Metrics.epoch_chases recovered lost_any;
   Option.iter
     (fun path ->
-      write_json path
+      Json.write path
         [
           ("scenario", "\"reconfigure-under-load\"");
           ("domains", string_of_int domains);
@@ -526,7 +494,7 @@ let run impl_name mem_backend replicas shards partition_name m r domains
   if tm.Metrics.begins > 0 then Fmt.pr "%a@." Metrics.pp_txn tm;
   Option.iter
     (fun path ->
-      write_json path
+      Json.write path
         (Loadgen.json_fields ~impl:S.name cfg rep
         @ [
             ("shards", string_of_int shards);

@@ -14,2423 +14,46 @@
 
    Prints per-operation step statistics, contention measures, fault counts,
    and (with --check) runs the observation-based linearizability checker on
-   every execution.  --json writes a machine-readable campaign summary. *)
+   every execution.  --json writes a machine-readable campaign summary.
+   The campaign loop and the six scenarios it drives live in lib/harness
+   (Campaign, Scenarios); this file is their command line. *)
 
-open Psnap
-module Table = Psnap_harness.Table
+module Scenario = Psnap_harness.Scenario
+module Campaign = Psnap_harness.Campaign
+module Scenarios = Psnap_harness.Scenarios
 
-let impls : (string * (module Snapshot.S)) list =
-  [
-    ("afek", (module Sim_afek));
-    ("fig1", (module Sim_fig1));
-    ("fig1-adaptive", (module Sim_fig1_adaptive));
-    ("fig1-small", (module Sim_fig1_small));
-    ("fig3", (module Sim_fig3));
-    ("fig3-small", (module Sim_fig3_small));
-    ("fig3-bounded-aset", (module Sim_fig3_bounded_aset));
-    ("farray", (module Sim_farray));
-    ("nonblocking", (module Sim_nonblocking));
-    ("fig1-hardened", (module Sim_fig1_hardened));
-    ("fig3-hardened", (module Sim_fig3_hardened));
-    ("fig3-selfcheck", (module Sim_fig3_selfcheck));
-  ]
-
-let impl_names =
-  List.map fst impls
-  @ [ "sharded"; "sharded-relaxed"; "resilient"; "durable"; "txn" ]
-
-(* sharded implementations take their geometry from --shards, so they are
-   built at runtime rather than listed statically *)
-let impl_of ~shards name : (module Snapshot.S) =
-  match name with
-  | "sharded" | "sharded-relaxed" ->
-    (module Psnap_runtime.Sharded.Make (Mem.Sim) (Sim_fig3)
-              (struct
-                let shards = shards
-                let partition = `Round_robin
-                let mode = if name = "sharded" then `Validated else `Relaxed
-              end))
-  | _ -> (
-    match List.assoc_opt name impls with
-    | Some m -> m
-    | None ->
-      Printf.eprintf "unknown implementation %S (choose from: %s)\n" name
-        (String.concat ", " impl_names);
-      exit 2)
-
-(* ---- the distributed backend: snapshot algorithms over ABD quorum
-   registers (docs/MODEL.md §14, EXPERIMENTS.md E19) ---- *)
-
-module Net_mem = Psnap.Net.Abd.Sim_mem
-module Net_aset_bounded = Active_set.Bounded (Net_mem)
-module Net_fig1 = Snapshot.Fig1 (Net_mem) (Net_aset_bounded)
-module Net_afek = Snapshot.Afek (Net_mem)
-module Net_nonblocking = Snapshot.Nonblocking (Net_mem)
-
-let net_impls : (string * (module Snapshot.S)) list =
-  [
-    ("fig3", (module Sim_net_fig3));
-    ("fig1", (module Net_fig1));
-    ("afek", (module Net_afek));
-    ("nonblocking", (module Net_nonblocking));
-  ]
-
-let net_impl_of name : (module Snapshot.S) =
-  match List.assoc_opt name net_impls with
-  | Some m -> m
-  | None ->
-    Printf.eprintf "--mem net supports implementations: %s\n"
-      (String.concat ", " (List.map fst net_impls));
-    exit 2
-
-let scheds =
-  [ "random"; "bursty"; "starve"; "starve-updaters"; "pct"; "round-robin" ]
-
-let sched_of name ~scanner_pids ~updater_pids ~seed =
-  match name with
-  | "random" -> Scheduler.random ~seed ()
-  | "bursty" -> Scheduler.bursty ~seed ()
-  | "starve" -> Scheduler.starve ~victims:scanner_pids ~seed ()
-  | "starve-updaters" ->
-    (* suspends a writer for long stretches — against the quorum backend
-       this parks it mid-Put-broadcast, the half-replicated-write window
-       the weak read mode turns into a new/old inversion (E19) *)
-    Scheduler.starve ~victims:updater_pids ~seed ()
-  | "pct" -> Scheduler.pct ~seed ~expected_steps:2000 ()
-  | "round-robin" -> Scheduler.round_robin ()
-  | s ->
-    Printf.eprintf "unknown scheduler %S (choose from: %s)\n" s
-      (String.concat ", " scheds);
-    exit 2
-
-let nemeses = [ "none"; "chaos"; "storm"; "crash-restart" ]
-
-(* A nemesis wraps the base policy with fault injection; every random
-   choice derives from [seed], so the whole run replays. *)
-let nemesis_of name ~seed base =
-  match name with
-  | "none" -> base
-  | "chaos" -> Scheduler.chaos ~seed ~inner:base ()
-  | "storm" -> Scheduler.crash_storm ~seed base
-  | "crash-restart" ->
-    Scheduler.with_crash_restart ~pid:0 ~crash_at:40 ~restart_after:30 base
-  | s ->
-    Printf.eprintf "unknown nemesis %S (choose from: %s)\n" s
-      (String.concat ", " nemeses);
-    exit 2
-
-(* "corrupt", "lose,stale", "all" -> fault kinds for the mem_storm nemesis;
-   "none"/"" -> no memory faults. *)
-let mem_kinds_of s =
-  match s with
-  | "" | "none" -> None
-  | "all" -> Some Event.all_fault_kinds
-  | s ->
-    Some
-      (String.split_on_char ',' s
-      |> List.map (fun tok ->
-             let tok = String.trim tok in
-             match Event.fault_kind_of_string tok with
-             | Some k -> k
-             | None ->
-               Printf.eprintf
-                 "unknown fault kind %S (choose from: lose, stale, corrupt, \
-                  stick, all)\n"
-                 tok;
-               exit 2))
-
-let write_json path fields =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          Printf.fprintf oc "  %S: %s%s\n" k v
-            (if i < List.length fields - 1 then "," else ""))
-        fields;
-      output_string oc "}\n")
-
-(* The resilient serving layer gets a dedicated campaign: its scans return
-   an explicit [Atomic | Degraded] outcome, and the acceptance criteria are
-   different — every Atomic scan must linearize, every scan must respect
-   the round budget, Degraded scans are counted (never checked: their
-   cross-shard view is allowed to skew, that is what the flag means), and
-   with --stick-epoch the campaign must witness a completed shard rebuild
-   followed by fully-validated scans of the rebuilt shard. *)
-let run_resilient shards m r updaters updates scanners scans sched_name
-    seed_base seeds nemesis_name mem_kinds mem_rate mem_max stick_epoch
-    stall_shard slow_pid max_rounds json_file =
-  let module RS =
-    Psnap_runtime.Resilient.Make (Mem.Sim) (Sim_fig3_selfcheck)
-      (Sim_fig3_hardened)
-      (struct
-        let shards = shards
-        let partition = `Round_robin
-        let max_rounds = max_rounds
-        let backoff_base = 2
-        let backoff_max = 16
-        let breaker_threshold = 3
-        let breaker_cooldown = 4
-        let probe_successes = 2
-        let heal_quiesce = 64
-      end)
-  in
-  let n = updaters + scanners in
-  let scanner_pids = List.init scanners (fun j -> updaters + j) in
-  let updater_pids = List.init updaters (fun i -> i) in
-  let init = Array.init m (fun i -> -(i + 1)) in
-  Mem.Sim.set_fault_tracking true;
-  Metrics.reset_mem_faults ();
-  Metrics.reset_serving ();
-  let violations = ref 0 in
-  let atomic_total = ref 0 in
-  let degraded_total = ref 0 in
-  let budget_overruns = ref 0 in
-  let post_heal_atomic = ref 0 in
-  let worst_rounds = ref 0 in
-  let worst_collects = ref 0 in
-  let total_crashes = ref 0 in
-  let total_restarts = ref 0 in
-  let total_steps = ref 0 in
-  let run_once ~sched =
-    let hist = History.create ~now:Sim.mark () in
-    (* Atomic scans are appended as hand-built entries: Degraded scans must
-       not reach the checker (their cross-shard skew is declared, not a
-       bug), and History.record cannot un-record an operation after its
-       outcome is known. *)
-    let atomic_entries = ref [] in
-    Sim.reset_prerun_oids ();
-    Mem.Hardened.reset_stats ();
-    let t = RS.create ~n (Array.copy init) in
-    let updater ~incarnation pid () =
-      let h = RS.handle t ~pid in
-      for k = 1 to updates do
-        let i = (k + (pid * 7)) mod m in
-        let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-        ignore
-          (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-               RS.update h i v;
-               Snapshot_spec.Ack))
-      done
-    in
-    let scanner pid () =
-      let h = RS.handle t ~pid in
-      let idxs =
-        Array.init r (fun k -> ((pid - updaters) + (k * (m / max r 1))) mod m)
-        |> Array.to_list |> List.sort_uniq compare |> Array.of_list
-      in
-      for _ = 1 to scans do
-        let inv = Sim.mark () in
-        let out = RS.scan_outcome h idxs in
-        let resp = Sim.mark () in
-        let rounds = RS.last_scan_rounds h in
-        worst_rounds := max !worst_rounds rounds;
-        worst_collects := max !worst_collects (RS.last_scan_collects h);
-        if rounds > max_rounds then incr budget_overruns;
-        match out with
-        | RS.Atomic vs ->
-          incr atomic_total;
-          atomic_entries :=
-            {
-              History.pid;
-              op = Snapshot_spec.Scan idxs;
-              res = Some (Snapshot_spec.Vals vs);
-              inv;
-              resp = Some resp;
-            }
-            :: !atomic_entries;
-          (match stick_epoch with
-          | Some s
-            when s < RS.nshards t
-                 && Array.exists (fun i -> i mod RS.nshards t = s) idxs
-                 && RS.shard_gen t ~pid s > 1 ->
-            incr post_heal_atomic
-          | _ -> ())
-        | RS.Degraded _ -> incr degraded_total
-      done
-    in
-    let body ~incarnation pid =
-      if pid < updaters then updater ~incarnation pid else scanner pid
-    in
-    let procs = Array.init n (fun pid -> body ~incarnation:1 pid) in
-    let recover = Some (fun ~pid ~incarnation -> body ~incarnation pid) in
-    let res = Sim.run ?recover ~sched procs in
-    let viols =
-      Snapshot_spec.check_observations ~init
-        (History.entries hist @ !atomic_entries)
-    in
-    total_crashes := !total_crashes + List.length res.crashed;
-    total_restarts :=
-      !total_restarts
-      + Array.fold_left (fun a i -> a + (i - 1)) 0 res.incarnations;
-    total_steps := !total_steps + res.clock;
-    if viols <> [] then begin
-      violations := !violations + List.length viols;
-      List.iter (fun v -> Fmt.pr "  %a@." Snapshot_spec.pp_violation v) viols
-    end
-  in
-  for s = 0 to seeds - 1 do
-    let seed = seed_base + s in
-    let sched =
-      let w = sched_of sched_name ~scanner_pids ~updater_pids ~seed in
-      let w = nemesis_of nemesis_name ~seed w in
-      let w =
-        match mem_kinds with
-        | Some kinds ->
-          Scheduler.mem_storm ~seed ~kinds ~rate:mem_rate ~max_faults:mem_max
-            w
-        | None -> w
-      in
-      let w =
-        match stick_epoch with
-        | Some sh ->
-          Scheduler.mem_fault_on_cell ~kind:Event.Stuck_cell
-            ~name_prefix:(Printf.sprintf "rshard%d.epoch" sh)
-            w
-        | None -> w
-      in
-      let w =
-        match stall_shard with
-        | Some sh ->
-          Scheduler.stall_shard ~shard:sh ~from_clock:50 ~until_clock:450 w
-        | None -> w
-      in
-      match slow_pid with
-      | Some p -> Scheduler.slow_domain ~pid:p w
-      | None -> w
-    in
-    run_once ~sched
-  done;
-  let sv = Metrics.serving () in
-  Printf.printf
-    "%s: m=%d r=%d %d updaters x %d, %d scanners x %d, %s, %d runs%s%s%s\n"
-    RS.name m r updaters updates scanners scans sched_name seeds
-    (if nemesis_name <> "none" then ", nemesis " ^ nemesis_name else "")
-    (match stick_epoch with
-    | Some s -> Printf.sprintf ", stick-epoch shard %d" s
-    | None -> "")
-    (match stall_shard with
-    | Some s -> Printf.sprintf ", stall shard %d" s
-    | None -> "");
-  Printf.printf
-    "scans: %d atomic, %d degraded; worst rounds %d (budget %d), worst \
-     collects %d\n"
-    !atomic_total !degraded_total !worst_rounds max_rounds !worst_collects;
-  Printf.printf "faults: %d crashes, %d restarts\n" !total_crashes
-    !total_restarts;
-  Fmt.pr "%a@." Metrics.pp_serving sv;
-  let mf = Metrics.mem_faults () in
-  if Metrics.total_injected mf > 0 then Fmt.pr "%a@." Metrics.pp_mem_faults mf;
-  Option.iter
-    (fun path ->
-      write_json path
-        [
-          ("impl", Printf.sprintf "%S" RS.name);
-          ("sched", Printf.sprintf "%S" sched_name);
-          ("nemesis", Printf.sprintf "%S" nemesis_name);
-          ("seed_base", string_of_int seed_base);
-          ("runs", string_of_int seeds);
-          ("steps", string_of_int !total_steps);
-          ("crashes", string_of_int !total_crashes);
-          ("restarts", string_of_int !total_restarts);
-          ("violations", string_of_int !violations);
-          ("atomic_scans", string_of_int !atomic_total);
-          ("degraded_scans", string_of_int !degraded_total);
-          ("budget_overruns", string_of_int !budget_overruns);
-          ("post_heal_atomic_scans", string_of_int !post_heal_atomic);
-          ("worst_rounds", string_of_int !worst_rounds);
-          ("scan_rounds", string_of_int sv.Metrics.scan_rounds);
-          ("scan_retries", string_of_int sv.Metrics.scan_retries);
-          ("backoff_steps", string_of_int sv.Metrics.backoff_steps);
-          ("breaker_opens", string_of_int sv.Metrics.breaker_opens);
-          ("breaker_half_opens", string_of_int sv.Metrics.breaker_half_opens);
-          ("breaker_closes", string_of_int sv.Metrics.breaker_closes);
-          ("heals_started", string_of_int sv.Metrics.heals_started);
-          ("heals_completed", string_of_int sv.Metrics.heals_completed);
-          ("heals_aborted", string_of_int sv.Metrics.heals_aborted);
-          ("stuck_epochs", string_of_int sv.Metrics.stuck_epochs);
-          ("mem_faults_injected", string_of_int (Metrics.total_injected mf));
-          ("mem_faults_detected", string_of_int (Metrics.total_detected mf));
-        ];
-      Printf.printf "json summary written to %s\n" path)
-    json_file;
-  let fail = ref false in
-  if !violations > 0 then begin
-    Printf.printf "checker: %d VIOLATIONS among atomic scans\n" !violations;
-    fail := true
-  end
-  else
-    Printf.printf
-      "checker: all %d atomic scans linearizable (observation check)\n"
-      !atomic_total;
-  if !budget_overruns > 0 then begin
-    Printf.printf "budget: %d scans exceeded %d rounds without degrading\n"
-      !budget_overruns max_rounds;
-    fail := true
-  end;
-  (match stick_epoch with
-  | Some _ ->
-    if sv.Metrics.heals_completed = 0 then begin
-      Printf.printf
-        "heal: stuck epoch injected but no shard rebuild completed\n";
-      fail := true
-    end
-    else if !post_heal_atomic = 0 then begin
-      Printf.printf
-        "heal: shard rebuilt but no fully-validated scan touched it \
-         afterwards\n";
-      fail := true
-    end
-    else
-      Printf.printf
-        "heal: %d rebuild(s) completed, %d validated post-rebuild scans\n"
-        sv.Metrics.heals_completed !post_heal_atomic
-  | None -> ());
-  if !fail then 1 else 0
-
-(* The durable implementation gets a dedicated campaign too: its object
-   pairs volatile memory with a storage device that survives power losses,
-   so the workload needs power-loss-aware recovery bodies.  A restarted
-   fiber first asks the device whether a blackout condemned the in-memory
-   state (the loss counter moved): if so, the first such fiber rebuilds
-   the object from the log — step-free, hence atomic under the simulator —
-   and later fibers adopt it; if not (a plain crash–restart), the object
-   survives and the fiber merely completes any commit intent its dead
-   incarnation left published in the lock.  History recording continues
-   across the blackout inside one run, so the observation checker sees
-   pre-loss acknowledgements next to post-recovery scans and flags any
-   committed-then-lost or resurrected-uncommitted value. *)
-let run_durable m r updaters updates scanners scans sched_name seed_base
-    seeds nemesis_name mem_kinds mem_rate mem_max power_loss_arg
-    checkpoint_every wal_mode expect_violations shrink replay_file json_file
-    =
-  let module D = Sim_durable_fig3 in
-  let module St = Persist.Storage.Sim in
-  let config =
-    {
-      D.checkpoint_every;
-      write_ahead =
-        (match wal_mode with
-        | "write-ahead" -> true
-        | "late-log" -> false
-        | s ->
-          Printf.eprintf
-            "unknown --wal-mode %S (choose from: write-ahead, late-log)\n" s;
-          exit 2);
-    }
-  in
-  let power_mode =
-    match power_loss_arg with
-    | "none" -> `None
-    | "storm" -> `Storm
-    | "sweep" -> `Sweep
-    | s -> (
-      match int_of_string_opt s with
-      | Some c when c >= 0 -> `At c
-      | _ ->
-        Printf.eprintf
-          "unknown --power-loss %S (choose from: none, storm, sweep, or a \
-           clock value)\n"
-          s;
-        exit 2)
-  in
-  if r > m then (
-    Printf.eprintf "r (%d) must be <= m (%d)\n" r m;
-    exit 2);
-  let n = updaters + scanners in
-  let scanner_pids = List.init scanners (fun j -> updaters + j) in
-  let updater_pids = List.init updaters (fun i -> i) in
-  let init = Array.init m (fun i -> -(i + 1)) in
-  Mem.Sim.set_fault_tracking true;
-  Metrics.reset_mem_faults ();
-  Metrics.reset_durable ();
-  let violations = ref 0 in
-  let samples = ref [] in
-  let worst_collects = ref 0 in
-  let total_crashes = ref 0 in
-  let total_restarts = ref 0 in
-  let total_steps = ref 0 in
-  let failing_schedule = ref None in
-  let run_once ~record_trace ~sched =
-    let rec_ = Metrics.create () in
-    let hist = History.create ~now:Sim.mark () in
-    Sim.reset_prerun_oids ();
-    St.reset ();
-    let cur = ref (D.create_with ~config ~n (Array.copy init)) in
-    let seen_losses = ref 0 in
-    (* Called in a restarted fiber's step-free prefix, so the check and the
-       (step-free) rebuild complete atomically: no peer can observe a
-       half-recovered object. *)
-    let rebuild_if_power_lost () =
-      let dev = D.storage !cur in
-      let l = St.losses dev in
-      if l > !seen_losses then begin
-        seen_losses := l;
-        cur := D.recover ~config dev ~n init
-      end
-    in
-    let updater ~incarnation pid () =
-      if incarnation > 1 then rebuild_if_power_lost ();
-      let h = D.handle !cur ~pid in
-      (* After a plain crash–restart the commit lock may still hold this
-         pid's published intent; after a power loss the lock is fresh and
-         this is a no-op. *)
-      if incarnation > 1 then D.resume h;
-      for k = 1 to updates do
-        let i = (k + (pid * 7)) mod m in
-        let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-        Metrics.measure rec_ ~pid ~kind:"update" (fun () ->
-            ignore
-              (History.record hist ~pid (Snapshot_spec.Update (i, v))
-                 (fun () ->
-                   D.update h i v;
-                   Snapshot_spec.Ack)))
-      done
-    in
-    let scanner ~incarnation pid () =
-      if incarnation > 1 then rebuild_if_power_lost ();
-      let h = D.handle !cur ~pid in
-      let idxs =
-        Array.init r (fun k -> ((pid - updaters) + (k * (m / max r 1))) mod m)
-        |> Array.to_list |> List.sort_uniq compare |> Array.of_list
-      in
-      for _ = 1 to scans do
-        Metrics.measure rec_ ~pid ~kind:"scan" (fun () ->
-            ignore
-              (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-                   Snapshot_spec.Vals (D.scan h idxs))));
-        worst_collects := max !worst_collects (D.last_scan_collects h)
-      done
-    in
-    let body ~incarnation pid =
-      if pid < updaters then updater ~incarnation pid
-      else scanner ~incarnation pid
-    in
-    let procs = Array.init n (fun pid -> body ~incarnation:1 pid) in
-    let recover = Some (fun ~pid ~incarnation -> body ~incarnation pid) in
-    let res = Sim.run ~record_trace ?recover ~sched procs in
-    let viols =
-      Snapshot_spec.check_observations ~init (History.entries hist)
-    in
-    (res, viols, Metrics.samples rec_)
-  in
-  let sched_for ~seed ~power =
-    let w = sched_of sched_name ~scanner_pids ~updater_pids ~seed in
-    let w = nemesis_of nemesis_name ~seed w in
-    let w =
-      match mem_kinds with
-      | Some kinds ->
-        Scheduler.mem_storm ~seed ~kinds ~rate:mem_rate ~max_faults:mem_max w
-      | None -> w
-    in
-    match power with
-    | `None -> w
-    | `At c -> Scheduler.power_loss_at ~at_clock:c w
-    | `Storm -> Scheduler.power_storm ~seed w
-  in
-  let fallback = Scheduler.round_robin () in
-  let replay_sched decisions =
-    Scheduler.replay_decisions ~lenient:true ~fallback decisions
-  in
-  let fails decisions =
-    match run_once ~record_trace:false ~sched:(replay_sched decisions) with
-    | _, viols, _ -> viols <> []
-    | exception _ -> true
-  in
-  let account (res : Sim.result) viols smpls =
-    samples := smpls :: !samples;
-    total_crashes := !total_crashes + List.length res.crashed;
-    total_restarts :=
-      !total_restarts
-      + Array.fold_left (fun a i -> a + (i - 1)) 0 res.incarnations;
-    total_steps := !total_steps + res.clock;
-    violations := !violations + List.length viols
-  in
-  let note_failure ~label res viols =
-    if viols <> [] then begin
-      Printf.printf "%s: %d violations\n" label (List.length viols);
-      List.iter (fun v -> Fmt.pr "  %a@." Snapshot_spec.pp_violation v) viols;
-      if shrink && !failing_schedule = None then
-        failing_schedule := Some (Trace.schedule res.Sim.trace)
-    end
-  in
-  let replaying = replay_file <> None && not shrink in
-  let runs =
-    match replay_file with
-    | Some path when replaying ->
-      let decisions = Shrink.load path in
-      Printf.printf "replaying %d decisions from %s\n"
-        (List.length decisions) path;
-      let res, viols, smpls =
-        run_once ~record_trace:false ~sched:(replay_sched decisions)
-      in
-      account res viols smpls;
-      List.iter (fun v -> Fmt.pr "  %a@." Snapshot_spec.pp_violation v) viols;
-      1
-    | _ -> (
-      match power_mode with
-      | `Sweep ->
-        (* A blackout at every schedule point: one clean baseline per seed
-           to learn the schedule length, then one run per clock value. *)
-        let total = ref 0 in
-        for s = 0 to seeds - 1 do
-          let seed = seed_base + s in
-          let res0, viols0, smpls0 =
-            run_once ~record_trace:false ~sched:(sched_for ~seed ~power:`None)
-          in
-          account res0 viols0 smpls0;
-          incr total;
-          note_failure ~label:(Printf.sprintf "seed %d baseline" seed) res0
-            viols0;
-          for c = 1 to res0.Sim.clock - 1 do
-            match
-              run_once ~record_trace:shrink
-                ~sched:(sched_for ~seed ~power:(`At c))
-            with
-            | res, viols, smpls ->
-              account res viols smpls;
-              incr total;
-              note_failure
-                ~label:(Printf.sprintf "seed %d power-loss@%d" seed c)
-                res viols
-            | exception e ->
-              incr violations;
-              incr total;
-              Printf.printf "seed %d power-loss@%d: harness crash: %s\n" seed
-                c (Printexc.to_string e)
-          done
-        done;
-        !total
-      | (`None | `At _ | `Storm) as power ->
-        for s = 0 to seeds - 1 do
-          let seed = seed_base + s in
-          match
-            run_once ~record_trace:shrink ~sched:(sched_for ~seed ~power)
-          with
-          | res, viols, smpls ->
-            account res viols smpls;
-            note_failure ~label:(Printf.sprintf "seed %d" seed) res viols
-          | exception e ->
-            incr violations;
-            Printf.printf "seed %d: harness crash: %s\n" seed
-              (Printexc.to_string e)
-        done;
-        seeds)
-  in
-  (* Campaign counters, snapshotted before the shrinker's oracle runs pile
-     more on top. *)
-  let dm = Metrics.durable () in
-  let shrunk_len =
-    match !failing_schedule with
-    | None -> None
-    | Some schedule ->
-      if not (fails schedule) then begin
-        Printf.printf
-          "shrink: recorded schedule does not reproduce deterministically; \
-           skipping\n";
-        None
-      end
-      else begin
-        let minimal, calls = Shrink.minimize ~oracle:fails schedule in
-        Printf.printf "shrink: %d decisions -> %d minimal (%d oracle runs)\n"
-          (List.length schedule) (List.length minimal) calls;
-        List.iter
-          (fun d -> print_endline (Scheduler.decision_to_string d))
-          minimal;
-        Option.iter
-          (fun path ->
-            Shrink.save path minimal;
-            Printf.printf "shrink: minimal schedule saved to %s\n" path)
-          replay_file;
-        Some (List.length minimal)
-      end
-  in
-  let all = List.concat !samples in
-  let of_kind k = List.filter (fun (s : Metrics.sample) -> s.kind = k) all in
-  let row kind =
-    let ss = of_kind kind in
-    [
-      kind;
-      string_of_int (List.length ss);
-      Printf.sprintf "%.1f" (Metrics.mean_steps ss);
-      string_of_int (Metrics.max_steps ss);
-    ]
-  in
-  Table.print
-    (Table.make
-       ~title:
-         (Printf.sprintf
-            "%s: m=%d r=%d %d updaters x %d, %d scanners x %d, %s, %d \
-             runs%s%s%s"
-            D.name m r updaters updates scanners scans sched_name runs
-            (if nemesis_name <> "none" then ", nemesis " ^ nemesis_name
-             else "")
-            (if power_loss_arg <> "none" then
-               ", power-loss " ^ power_loss_arg
-             else "")
-            (if wal_mode <> "write-ahead" then ", wal-mode " ^ wal_mode
-             else ""))
-       ~header:[ "operation"; "count"; "mean steps"; "worst steps" ]
-       [ row "update"; row "scan" ]);
-  Printf.printf "worst collects per scan: %d\n" !worst_collects;
-  Printf.printf "faults: %d crashes, %d restarts, %d power losses\n"
-    !total_crashes !total_restarts dm.Metrics.power_losses;
-  Fmt.pr "%a@." Metrics.pp_durable dm;
-  let mf = Metrics.mem_faults () in
-  if Metrics.total_injected mf > 0 then Fmt.pr "%a@." Metrics.pp_mem_faults mf;
-  Option.iter
-    (fun path ->
-      write_json path
-        [
-          ("impl", Printf.sprintf "%S" D.name);
-          ("sched", Printf.sprintf "%S" sched_name);
-          ("nemesis", Printf.sprintf "%S" nemesis_name);
-          ("power_loss", Printf.sprintf "%S" power_loss_arg);
-          ("wal_mode", Printf.sprintf "%S" wal_mode);
-          ("checkpoint_every", string_of_int checkpoint_every);
-          ("seed_base", string_of_int seed_base);
-          ("runs", string_of_int runs);
-          ("steps", string_of_int !total_steps);
-          ("crashes", string_of_int !total_crashes);
-          ("restarts", string_of_int !total_restarts);
-          ("violations", string_of_int !violations);
-          ("power_losses", string_of_int dm.Metrics.power_losses);
-          ("recoveries", string_of_int dm.Metrics.recoveries);
-          ("replayed_updates", string_of_int dm.Metrics.replayed_updates);
-          ("wal_appends", string_of_int dm.Metrics.wal_appends);
-          ("wal_syncs", string_of_int dm.Metrics.wal_syncs);
-          ("wal_bytes", string_of_int dm.Metrics.wal_bytes);
-          ("commits", string_of_int dm.Metrics.commits);
-          ("checkpoints", string_of_int dm.Metrics.checkpoints);
-          ("torn_records", string_of_int dm.Metrics.torn_records);
-          ("corrupt_records", string_of_int dm.Metrics.corrupt_records);
-          ("truncated_bytes", string_of_int dm.Metrics.truncated_bytes);
-          ( "shrunk_schedule_len",
-            match shrunk_len with Some l -> string_of_int l | None -> "null"
-          );
-        ];
-      Printf.printf "json summary written to %s\n" path)
-    json_file;
-  let fail = ref false in
-  (match power_mode with
-  | `Sweep when dm.Metrics.recoveries = 0 ->
-    Printf.printf
-      "recovery: power-loss sweep completed without a single rebuild\n";
-    fail := true
-  | `Storm when dm.Metrics.power_losses = 0 && not replaying ->
-    Printf.printf
-      "power-loss: storm requested but no blackout fired (run too short?)\n"
-  | _ -> ());
-  if expect_violations then
-    if !violations > 0 then
-      Printf.printf
-        "checker: %d violations (expected: late-log mode acknowledges \
-         before the barrier)\n"
-        !violations
-    else begin
-      Printf.printf "checker: NO violations, but --expect-violations was given\n";
-      fail := true
-    end
-  else if !violations = 0 then
-    Printf.printf
-      "checker: all %d executions durably linearizable (observation check)\n"
-      runs
-  else begin
-    Printf.printf "checker: %d VIOLATIONS\n" !violations;
-    fail := true
-  end;
-  if !fail then 1 else 0
-
-(* The MVCC transaction layer gets a dedicated campaign with its own
-   oracle: updaters run read-modify-write transactions, scanners run
-   read-only transactions over a declared read set, every transaction
-   begun is harvested after the run (outcome is a mutable field, so even a
-   transaction whose fiber crashed reports its final state), and the
-   collected observations go through the snapshot-isolation checker
-   [Si_check.check] — visibility per begin snapshot plus no lost updates.
-   --txn-mode lww (skip first-committer-wins validation) exists to show
-   the oracle catches lost updates; pair with --expect-violations, and
-   with --shrink to distill the committed e20 witness. *)
-let run_txn m r updaters updates scanners scans sched_name seed_base seeds
-    nemesis_name mem_kinds mem_rate mem_max txn_mode expect_violations
-    shrink replay_file json_file =
-  let module T = Sim_txn_fig3 in
-  let mode =
-    match Txn.mode_of_string txn_mode with
-    | Some mode -> mode
-    | None ->
-      Printf.eprintf "unknown --txn-mode %S (choose from: fcw, lww)\n"
-        txn_mode;
-      exit 2
-  in
-  if r > m then (
-    Printf.eprintf "r (%d) must be <= m (%d)\n" r m;
-    exit 2);
-  let n = updaters + scanners in
-  let scanner_pids = List.init scanners (fun j -> updaters + j) in
-  let updater_pids = List.init updaters (fun i -> i) in
-  let init = Array.init m (fun i -> -(i + 1)) in
-  Mem.Sim.set_fault_tracking true;
-  Metrics.reset_mem_faults ();
-  Metrics.reset_txn ();
-  let violations = ref 0 in
-  let samples = ref [] in
-  let total_crashes = ref 0 in
-  let total_restarts = ref 0 in
-  let total_steps = ref 0 in
-  let failing_schedule = ref None in
-  let run_once ~record_trace ~sched =
-    let rec_ = Metrics.create () in
-    Sim.reset_prerun_oids ();
-    let t = T.create ~mode ~n (Array.copy init) in
-    (* Every transaction ever begun, plus observations synthesized by
-       [resume] for commits rolled forward past a crash; harvested into
-       the oracle's input after the run ends. *)
-    let txns = ref [] in
-    let resumed = ref [] in
-    let recover_pid h =
-      match T.resume h with
-      | Some obs -> resumed := obs :: !resumed
-      | None -> ()
-    in
-    let updater ~incarnation pid () =
-      let h = T.handle t ~pid in
-      if incarnation > 1 then recover_pid h;
-      for k = 1 to updates do
-        let i = (k + (pid * 7)) mod m in
-        let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-        Metrics.measure rec_ ~pid ~kind:"rw-txn" (fun () ->
-            let x = T.begin_ h in
-            txns := x :: !txns;
-            (* read-modify-write: the canonical lost-update shape *)
-            ignore (T.read x i);
-            T.write x i v;
-            ignore (T.commit x))
-      done
-    in
-    let scanner ~incarnation pid () =
-      let h = T.handle t ~pid in
-      (* a dead scanner's announce slot pins the pruning watermark; clear
-         it like a committer would *)
-      if incarnation > 1 then recover_pid h;
-      let idxs =
-        Array.init r (fun k -> ((pid - updaters) + (k * (m / max r 1))) mod m)
-        |> Array.to_list |> List.sort_uniq compare |> Array.of_list
-      in
-      for _ = 1 to scans do
-        Metrics.measure rec_ ~pid ~kind:"ro-txn" (fun () ->
-            let x = T.begin_ h in
-            txns := x :: !txns;
-            ignore (T.read_many x idxs);
-            ignore (T.commit x))
-      done
-    in
-    let body ~incarnation pid =
-      if pid < updaters then updater ~incarnation pid
-      else scanner ~incarnation pid
-    in
-    let procs = Array.init n (fun pid -> body ~incarnation:1 pid) in
-    let recover = Some (fun ~pid ~incarnation -> body ~incarnation pid) in
-    let res = Sim.run ~record_trace ?recover ~sched procs in
-    let obs =
-      (* the txn record is richer (it has the reads); a resume observation
-         of the same txid only fills in a crashed fiber's silence *)
-      let seen = Hashtbl.create 64 in
-      List.filter
-        (fun (o : int Si_check.obs) ->
-          if Hashtbl.mem seen o.Si_check.txid then false
-          else begin
-            Hashtbl.add seen o.Si_check.txid ();
-            true
-          end)
-        (List.filter_map T.observation !txns @ !resumed)
-    in
-    let viols = Si_check.check ~init obs in
-    (res, viols, Metrics.samples rec_)
-  in
-  let sched_for ~seed =
-    let w = sched_of sched_name ~scanner_pids ~updater_pids ~seed in
-    let w = nemesis_of nemesis_name ~seed w in
-    match mem_kinds with
-    | Some kinds ->
-      Scheduler.mem_storm ~seed ~kinds ~rate:mem_rate ~max_faults:mem_max w
-    | None -> w
-  in
-  let fallback = Scheduler.round_robin () in
-  let replay_sched decisions =
-    Scheduler.replay_decisions ~lenient:true ~fallback decisions
-  in
-  let fails decisions =
-    match run_once ~record_trace:false ~sched:(replay_sched decisions) with
-    | _, viols, _ -> viols <> []
-    | exception _ -> true
-  in
-  let account (res : Sim.result) viols smpls =
-    samples := smpls :: !samples;
-    total_crashes := !total_crashes + List.length res.crashed;
-    total_restarts :=
-      !total_restarts
-      + Array.fold_left (fun a i -> a + (i - 1)) 0 res.incarnations;
-    total_steps := !total_steps + res.clock;
-    violations := !violations + List.length viols
-  in
-  let pp_viol = Si_check.pp_violation Format.pp_print_int in
-  let note_failure ~label res viols =
-    if viols <> [] then begin
-      Printf.printf "%s: %d violations\n" label (List.length viols);
-      List.iter (fun v -> Fmt.pr "  %a@." pp_viol v) viols;
-      if shrink && !failing_schedule = None then
-        failing_schedule := Some (Trace.schedule res.Sim.trace)
-    end
-  in
-  let replaying = replay_file <> None && not shrink in
-  let runs =
-    if replaying then begin
-      let path = Option.get replay_file in
-      let decisions = Shrink.load path in
-      Printf.printf "replaying %d decisions from %s\n"
-        (List.length decisions) path;
-      let res, viols, smpls =
-        run_once ~record_trace:false ~sched:(replay_sched decisions)
-      in
-      account res viols smpls;
-      List.iter (fun v -> Fmt.pr "  %a@." pp_viol v) viols;
-      1
-    end
-    else begin
-      for s = 0 to seeds - 1 do
-        let seed = seed_base + s in
-        match run_once ~record_trace:shrink ~sched:(sched_for ~seed) with
-        | res, viols, smpls ->
-          account res viols smpls;
-          note_failure ~label:(Printf.sprintf "seed %d" seed) res viols
-        | exception e ->
-          incr violations;
-          Printf.printf "seed %d: harness crash: %s\n" seed
-            (Printexc.to_string e)
-      done;
-      seeds
-    end
-  in
-  (* Campaign counters, snapshotted before the shrinker's oracle runs pile
-     more on top. *)
-  let tm = Metrics.txn () in
-  let shrunk_len =
-    match !failing_schedule with
-    | None -> None
-    | Some schedule ->
-      if not (fails schedule) then begin
-        Printf.printf
-          "shrink: recorded schedule does not reproduce deterministically; \
-           skipping\n";
-        None
-      end
-      else begin
-        let minimal, calls = Shrink.minimize ~oracle:fails schedule in
-        Printf.printf "shrink: %d decisions -> %d minimal (%d oracle runs)\n"
-          (List.length schedule) (List.length minimal) calls;
-        List.iter
-          (fun d -> print_endline (Scheduler.decision_to_string d))
-          minimal;
-        Option.iter
-          (fun path ->
-            Shrink.save path minimal;
-            Printf.printf "shrink: minimal schedule saved to %s\n" path)
-          replay_file;
-        Some (List.length minimal)
-      end
-  in
-  let all = List.concat !samples in
-  let of_kind k = List.filter (fun (s : Metrics.sample) -> s.kind = k) all in
-  let row kind =
-    let ss = of_kind kind in
-    [
-      kind;
-      string_of_int (List.length ss);
-      Printf.sprintf "%.1f" (Metrics.mean_steps ss);
-      string_of_int (Metrics.max_steps ss);
-    ]
-  in
-  Table.print
-    (Table.make
-       ~title:
-         (Printf.sprintf
-            "%s: m=%d r=%d %d updaters x %d, %d scanners x %d, %s, %d \
-             runs, mode %s%s"
-            T.name m r updaters updates scanners scans sched_name runs
-            (Txn.mode_to_string mode)
-            (if nemesis_name <> "none" then ", nemesis " ^ nemesis_name
-             else ""))
-       ~header:[ "operation"; "count"; "mean steps"; "worst steps" ]
-       [ row "rw-txn"; row "ro-txn" ]);
-  Printf.printf "faults: %d crashes, %d restarts\n" !total_crashes
-    !total_restarts;
-  Fmt.pr "%a@." Metrics.pp_txn tm;
-  let mf = Metrics.mem_faults () in
-  if Metrics.total_injected mf > 0 then Fmt.pr "%a@." Metrics.pp_mem_faults mf;
-  Option.iter
-    (fun path ->
-      write_json path
-        [
-          ("impl", Printf.sprintf "%S" T.name);
-          ("txn_mode", Printf.sprintf "%S" (Txn.mode_to_string mode));
-          ("sched", Printf.sprintf "%S" sched_name);
-          ("nemesis", Printf.sprintf "%S" nemesis_name);
-          ("seed_base", string_of_int seed_base);
-          ("runs", string_of_int runs);
-          ("steps", string_of_int !total_steps);
-          ("crashes", string_of_int !total_crashes);
-          ("restarts", string_of_int !total_restarts);
-          ("violations", string_of_int !violations);
-          ("begins", string_of_int tm.Metrics.begins);
-          ("ro_commits", string_of_int tm.Metrics.ro_commits);
-          ("rw_commits", string_of_int tm.Metrics.rw_commits);
-          ("conflicts", string_of_int tm.Metrics.conflicts);
-          ("busy_aborts", string_of_int tm.Metrics.busy_aborts);
-          ("voluntary_aborts", string_of_int tm.Metrics.voluntary_aborts);
-          ("abort_rate", Printf.sprintf "%.4f" (Metrics.txn_abort_rate tm));
-          ("lww_overwrites", string_of_int tm.Metrics.lww_overwrites);
-          ("resumes", string_of_int tm.Metrics.resumes);
-          ("pruned_versions", string_of_int tm.Metrics.pruned_versions);
-          ( "shrunk_schedule_len",
-            match shrunk_len with Some l -> string_of_int l | None -> "null"
-          );
-        ];
-      Printf.printf "json summary written to %s\n" path)
-    json_file;
-  if expect_violations then
-    if !violations > 0 then begin
-      Printf.printf
-        "checker: %d violations (expected: last-writer-wins skips \
-         first-committer-wins validation)\n"
-        !violations;
-      0
-    end
-    else begin
-      Printf.printf "checker: NO violations, but --expect-violations was given\n";
-      1
-    end
-  else if !violations = 0 then begin
-    Printf.printf
-      "checker: all %d executions snapshot-isolated (SI observation check)\n"
-      runs;
-    0
-  end
-  else begin
-    Printf.printf "checker: %d VIOLATIONS\n" !violations;
-    1
-  end
-
-(* The distributed backend gets a dedicated campaign: the workload's
-   shared cells are ABD quorum registers served by [replicas] replica
-   fibers over the simulated message transport, so each run schedules
-   [updaters + scanners] client fibers plus the replica fibers, network
-   nemeses inject link faults as ordinary decisions, crash nemeses may hit
-   clients (their restart closes the session) and replicas (their restart
-   resumes serving from the durable store), and an unreachable majority
-   surfaces as [Unavailable] through a per-client circuit breaker — the
-   operation is counted, the client carries on, nothing spins. *)
-let run_net impl_name m r updaters updates scanners scans sched_name
-    seed_base seeds check nemesis_name net_nemesis_name net_mode_name
-    net_rate replicas power_loss_arg expect_violations shrink replay_file
-    json_file =
-  let module A = Psnap.Net.Abd in
-  let (module S : Snapshot.S) = net_impl_of impl_name in
-  if r > m then (
-    Printf.eprintf "r (%d) must be <= m (%d)\n" r m;
-    exit 2);
-  if replicas < 1 then (
-    Printf.eprintf "--replicas must be >= 1\n";
-    exit 2);
-  let mode =
-    match net_mode_name with
-    | "abd" -> A.Abd
-    | "weak" -> A.Weak
-    | s ->
-      Printf.eprintf "unknown --net-mode %S (choose from: abd, weak)\n" s;
-      exit 2
-  in
-  let n = updaters + scanners in
-  let scanner_pids = List.init scanners (fun j -> updaters + j) in
-  let updater_pids = List.init updaters (fun i -> i) in
-  let all_nodes = List.init (n + replicas) Fun.id in
-  let init = Array.init m (fun i -> -(i + 1)) in
-  Metrics.reset_net ();
-  Metrics.reset_serving ();
-  let violations = ref 0 in
-  let unavailable_ops = ref 0 in
-  let worst_collects = ref 0 in
-  let total_crashes = ref 0 in
-  let total_restarts = ref 0 in
-  let total_steps = ref 0 in
-  let total_injected = ref 0 in
-  let total_absorbed = ref 0 in
-  let failing_schedule = ref None in
-  let run_once ~record_trace ~sched =
-    let hist = History.create ~now:Sim.mark () in
-    (* Prerun oids must be a pure function of the workload (the cluster's
-       transport and store cells included) so fault schedules replay. *)
-    Sim.reset_prerun_oids ();
-    let cl = A.cluster ~mode ~clients:n ~replicas () in
-    let t = S.create ~n (Array.copy init) in
-    (* An [Unavailable] op is recorded as pending (it may or may not have
-       taken effect — exactly what the observation checker admits); the
-       client moves on to its next operation. *)
-    let attempt f = try f () with Psnap.Net.Unavailable _ -> incr unavailable_ops in
-    let updater ~incarnation pid () =
-      let h = S.handle t ~pid in
-      for k = 1 to updates do
-        let i = (k + (pid * 7)) mod m in
-        let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-        attempt (fun () ->
-            if check then
-              ignore
-                (History.record hist ~pid (Snapshot_spec.Update (i, v))
-                   (fun () ->
-                     S.update h i v;
-                     Snapshot_spec.Ack))
-            else S.update h i v)
-      done
-    in
-    let scanner pid () =
-      let h = S.handle t ~pid in
-      let idxs =
-        Array.init r (fun k -> ((pid - updaters) + (k * (m / max r 1))) mod m)
-        |> Array.to_list |> List.sort_uniq compare |> Array.of_list
-      in
-      for _ = 1 to scans do
-        attempt (fun () ->
-            if check then
-              ignore
-                (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-                     Snapshot_spec.Vals (S.scan h idxs)))
-            else ignore (S.scan h idxs));
-        worst_collects := max !worst_collects (S.last_scan_collects h)
-      done
-    in
-    let client_body ~incarnation pid =
-      if pid < updaters then updater ~incarnation pid else scanner pid
-    in
-    let procs =
-      Array.init (n + replicas) (fun pid ->
-          if pid < n then A.wrap_client cl ~pid (client_body ~incarnation:1 pid)
-          else A.replica_body cl ~index:(pid - n))
-    in
-    (* Crashed clients restart only to close their session (their pending
-       operation stays pending); crashed replicas resume serving from the
-       durable store cell. *)
-    let recover =
-      Some
-        (fun ~pid ~incarnation:_ ->
-          if pid < n then A.close_client cl ~pid
-          else A.replica_body cl ~index:(pid - n))
-    in
-    let res = Sim.run ~record_trace ?recover ~sched procs in
-    (* [A.cluster] resets the transport registry (and its counters) at the
-       start of each run, so sample this run's injected/absorbed totals
-       before the next run clears them. *)
-    let inj, abs_ = Psnap.Net.Transport.Sim.fault_counts () in
-    total_injected := !total_injected + inj;
-    total_absorbed := !total_absorbed + abs_;
-    let viols =
-      if check then
-        Snapshot_spec.check_observations ~init (History.entries hist)
-      else []
-    in
-    (res, viols)
-  in
-  let net_nemesis_of ~seed base =
-    let inflight = Psnap.Net.Transport.Sim.inflight_links in
-    match net_nemesis_name with
-    | "none" -> base
-    | "partition_storm" ->
-      (* The heal window must dwarf a quorum operation (tens of polls per
-         phase times the attempt budget), or partitions heal before anyone
-         notices: long windows are what starve a cut client into
-         [Unavailable] — and what give weak mode's missing write-back time
-         to surface as a new/old inversion. *)
-      Scheduler.partition_storm ~seed ~nodes:all_nodes ~rate:net_rate
-        ~heal_after:4000 base
-    | "heal_after" ->
-      (* the targeted quorum-loss window: the first replica is gone *)
-      Scheduler.heal_after ~victim:n ~peers:all_nodes ~at_clock:60 ~after:150
-        base
-    | "dup_flood" -> Scheduler.dup_flood ~seed ~inflight ~rate:net_rate base
-    | "lag_spike" -> Scheduler.lag_spike ~seed ~inflight ~rate:net_rate base
-    | s ->
-      Printf.eprintf
-        "unknown --net-nemesis %S (choose from: none, partition_storm, \
-         heal_after, dup_flood, lag_spike)\n"
-        s;
-      exit 2
-  in
-  (* Power loss against the net backend: the blackout halts clients and
-     replicas alike — a replica's durable store cell survives (each write
-     to it is a completed synchronous step, there is no un-synced tail),
-     clients come back only to close their sessions.  Composed last so
-     replayed schedules carry the [powerloss] decision like any fault. *)
-  let power_nemesis_of ~seed base =
-    match power_loss_arg with
-    | "none" -> base
-    | "storm" -> Scheduler.power_storm ~seed base
-    | s -> (
-      match int_of_string_opt s with
-      | Some c when c >= 0 -> Scheduler.power_loss_at ~at_clock:c base
-      | _ ->
-        Printf.eprintf
-          "unknown --power-loss %S under --mem net (choose from: none, \
-           storm, or a clock value)\n"
-          s;
-        exit 2)
-  in
-  let sched_for ~seed =
-    let w = sched_of sched_name ~scanner_pids ~updater_pids ~seed in
-    let w = nemesis_of nemesis_name ~seed w in
-    let w = net_nemesis_of ~seed w in
-    power_nemesis_of ~seed w
-  in
-  let fallback = Scheduler.round_robin () in
-  let replay_sched decisions =
-    Scheduler.replay_decisions ~lenient:true ~fallback decisions
-  in
-  let fails decisions =
-    match run_once ~record_trace:false ~sched:(replay_sched decisions) with
-    | _, viols -> viols <> []
-    | exception _ -> true
-  in
-  let account (res : Sim.result) viols =
-    total_crashes := !total_crashes + List.length res.crashed;
-    total_restarts :=
-      !total_restarts
-      + Array.fold_left (fun a i -> a + (i - 1)) 0 res.incarnations;
-    total_steps := !total_steps + res.clock;
-    violations := !violations + List.length viols
-  in
-  let replaying = replay_file <> None && not shrink in
-  let runs =
-    match replay_file with
-    | Some path when replaying ->
-      let decisions = Shrink.load path in
-      Printf.printf "replaying %d decisions from %s\n"
-        (List.length decisions) path;
-      let res, viols = run_once ~record_trace:false ~sched:(replay_sched decisions) in
-      account res viols;
-      List.iter (fun v -> Fmt.pr "  %a@." Snapshot_spec.pp_violation v) viols;
-      1
-    | _ ->
-      for s = 0 to seeds - 1 do
-        let seed = seed_base + s in
-        match run_once ~record_trace:shrink ~sched:(sched_for ~seed) with
-        | res, viols ->
-          account res viols;
-          if viols <> [] then begin
-            Printf.printf "seed %d: %d violations\n" seed (List.length viols);
-            List.iter
-              (fun v -> Fmt.pr "  %a@." Snapshot_spec.pp_violation v)
-              viols;
-            if shrink && !failing_schedule = None then
-              failing_schedule := Some (Trace.schedule res.trace)
-          end
-        | exception e ->
-          incr violations;
-          Printf.printf "seed %d: harness crash: %s\n" seed
-            (Printexc.to_string e)
-      done;
-      seeds
-  in
-  let nm = Metrics.net () in
-  let shrunk_len =
-    match !failing_schedule with
-    | None -> None
-    | Some schedule ->
-      if not (fails schedule) then begin
-        Printf.printf
-          "shrink: recorded schedule does not reproduce deterministically; \
-           skipping\n";
-        None
-      end
-      else begin
-        let minimal, calls = Shrink.minimize ~oracle:fails schedule in
-        Printf.printf "shrink: %d decisions -> %d minimal (%d oracle runs)\n"
-          (List.length schedule) (List.length minimal) calls;
-        List.iter
-          (fun d -> print_endline (Scheduler.decision_to_string d))
-          minimal;
-        Option.iter
-          (fun path ->
-            Shrink.save path minimal;
-            Printf.printf "shrink: minimal schedule saved to %s\n" path)
-          replay_file;
-        Some (List.length minimal)
-      end
-  in
-  let injected, absorbed = (!total_injected, !total_absorbed) in
-  Printf.printf
-    "%s over %s quorum registers: %d clients + %d replicas, m=%d r=%d, %s, \
-     %d runs%s%s\n"
-    S.name
-    (if mode = A.Weak then "WEAK (no write-back)" else "ABD")
-    n replicas m r sched_name runs
-    (if nemesis_name <> "none" then ", nemesis " ^ nemesis_name else "")
-    (if net_nemesis_name <> "none" then ", net-nemesis " ^ net_nemesis_name
-     else "");
-  Printf.printf "worst collects per scan: %d\n" !worst_collects;
-  Printf.printf "faults: %d crashes, %d restarts; net effects: %d injected, \
-                 %d absorbed\n"
-    !total_crashes !total_restarts injected absorbed;
-  Fmt.pr "%a@." Metrics.pp_net nm;
-  let sv = Metrics.serving () in
-  Printf.printf
-    "unavailability: %d ops gave up; breaker: %d opens, %d half-opens, %d \
-     closes\n"
-    !unavailable_ops sv.Metrics.breaker_opens sv.Metrics.breaker_half_opens
-    sv.Metrics.breaker_closes;
-  Option.iter
-    (fun path ->
-      write_json path
-        [
-          ("impl", Printf.sprintf "%S" S.name);
-          ("mem", "\"net\"");
-          ("net_mode", Printf.sprintf "%S" net_mode_name);
-          ("replicas", string_of_int replicas);
-          ("sched", Printf.sprintf "%S" sched_name);
-          ("nemesis", Printf.sprintf "%S" nemesis_name);
-          ("net_nemesis", Printf.sprintf "%S" net_nemesis_name);
-          ("seed_base", string_of_int seed_base);
-          ("runs", string_of_int runs);
-          ("steps", string_of_int !total_steps);
-          ("crashes", string_of_int !total_crashes);
-          ("restarts", string_of_int !total_restarts);
-          ("violations", string_of_int !violations);
-          ("sends", string_of_int nm.Metrics.sends);
-          ("delivers", string_of_int nm.Metrics.delivers);
-          ("net_drops", string_of_int nm.Metrics.drops);
-          ("net_dups", string_of_int nm.Metrics.dups);
-          ("net_delays", string_of_int nm.Metrics.delays);
-          ("net_cuts", string_of_int nm.Metrics.cuts);
-          ("net_heals", string_of_int nm.Metrics.heals);
-          ("net_faults_injected", string_of_int injected);
-          ("net_faults_absorbed", string_of_int absorbed);
-          ("quorum_rounds", string_of_int nm.Metrics.rounds);
-          ("resends", string_of_int nm.Metrics.resends);
-          ("writebacks", string_of_int nm.Metrics.writebacks);
-          ("writeback_skips", string_of_int nm.Metrics.writeback_skips);
-          ("quorum_ops", string_of_int nm.Metrics.quorum_ops);
-          ( "mean_quorum_wait",
-            Printf.sprintf "%.2f" (Metrics.mean_quorum_wait nm) );
-          ("unavailable_ops", string_of_int !unavailable_ops);
-          ("breaker_opens", string_of_int sv.Metrics.breaker_opens);
-          ("breaker_half_opens", string_of_int sv.Metrics.breaker_half_opens);
-          ("breaker_closes", string_of_int sv.Metrics.breaker_closes);
-          ( "shrunk_schedule_len",
-            match shrunk_len with Some l -> string_of_int l | None -> "null" );
-        ];
-      Printf.printf "json summary written to %s\n" path)
-    json_file;
-  if check then
-    if expect_violations then
-      if !violations > 0 then begin
-        Printf.printf
-          "checker: %d violations (expected: weak reads skip the \
-           write-back)\n"
-          !violations;
-        0
-      end
-      else begin
-        Printf.printf
-          "checker: NO violations, but --expect-violations was given\n";
-        1
-      end
-    else if !violations = 0 then begin
-      Printf.printf
-        "checker: all %d executions linearizable (observation check)\n" runs;
-      0
-    end
-    else begin
-      Printf.printf "checker: %d VIOLATIONS\n" !violations;
-      1
-    end
-  else 0
-
-(* ---- E21: online reconfiguration campaigns (docs/MODEL.md §16) ----
-
-   Workload chosen for oracle soundness: [updaters] writer clients each
-   own one register and write 1..[updates] monotonically, HALTING on the
-   first [Unavailable] (a writer that pushed past one could burn the same
-   timestamp twice — equal tags carrying different values — which makes
-   any monotonicity oracle unsound); [scanners] reader clients poll the
-   writers' registers.  Three oracles:
-
-   - lost write: a writer's final read-back must never run below its last
-     acked write (the E21 naive-mode conviction);
-   - monotonicity: per (reader, register) observed values never step
-     backwards across reconfigurations;
-   - exact linearizability (--check): per register, a Wing–Gong check
-     over the recorded history with [Unavailable] operations left
-     pending.
-
-   RMW is excluded on purpose: at-most-once across a membership change
-   would need the home replica's dedup entry to reach the collect
-   quorum, which a reply lost before the transfer can defeat (documented
-   in Net_abd); the reconfiguration campaigns stick to reads/writes. *)
-
-module Reg_spec = struct
-  type state = int
-  type op = Rwrite of int | Rread
-  type res = Rack | Rval of int
-
-  let apply s = function Rwrite v -> (v, Rack) | Rread -> (s, Rval s)
-  let equal_res (a : res) (b : res) = a = b
-end
-
-module Reg_lin = Lin_check.Make (Reg_spec)
-
-let run_reconfig reconfig_mode_name spares updaters updates scanners scans
-    sched_name seed_base seeds check nemesis_name net_nemesis_name net_rate
-    replicas reconfig_nemesis_name replica_death_max expect_violations shrink
-    replay_file json_file =
-  let module A = Psnap.Net.Abd in
-  let module R = Psnap.Net.Reconfig in
-  if replicas < 1 then (
-    Printf.eprintf "--replicas must be >= 1\n";
-    exit 2);
-  if spares < 0 then (
-    Printf.eprintf "--spares must be >= 0\n";
-    exit 2);
-  if updaters < 1 then (
-    Printf.eprintf "--reconfig needs at least one updater (writer)\n";
-    exit 2);
-  let rmode =
-    match reconfig_mode_name with
-    | "fenced" -> R.Fenced
-    | "naive" -> R.Naive
-    | s ->
-      Printf.eprintf "unknown --reconfig %S (choose from: off, fenced, naive)\n"
-        s;
-      exit 2
-  in
-  let clients = updaters + scanners in
-  let pool = replicas + spares in
-  let nprocs = clients + pool + 1 (* + membership manager *) in
-  let member_pids = List.init replicas (fun i -> clients + i) in
-  let all_nodes = List.init nprocs Fun.id in
-  let scanner_pids = List.init scanners (fun j -> updaters + j) in
-  let updater_pids = List.init updaters (fun i -> i) in
-  Metrics.reset_net ();
-  Metrics.reset_serving ();
-  Metrics.reset_reconfig ();
-  let violations = ref 0 in
-  let lost_writes = ref 0 in
-  let inversions = ref 0 in
-  let lin_fails = ref 0 in
-  let lin_skipped = ref 0 in
-  let unavailable_ops = ref 0 in
-  let total_crashes = ref 0 in
-  let total_restarts = ref 0 in
-  let total_steps = ref 0 in
-  let total_injected = ref 0 in
-  let total_absorbed = ref 0 in
-  let total_reconfigs = ref 0 in
-  let max_epoch = ref 0 in
-  let failing_schedule = ref None in
-  let run_once ~record_trace ~sched =
-    Sim.reset_prerun_oids ();
-    let cl = A.cluster ~clients ~replicas ~spares ~with_manager:true () in
-    let rc = R.attach ~mode:rmode cl in
-    let regs =
-      Array.init updaters (fun w ->
-          A.Sim_mem.make ~name:(Printf.sprintf "reconfig.reg.%d" w) 0)
-    in
-    let hists =
-      Array.init updaters (fun _ -> History.create ~now:Sim.mark ())
-    in
-    let last_acked = Array.make updaters 0 in
-    let viols = ref [] in
-    let dbg = Sys.getenv_opt "PSNAP_RECONFIG_DEBUG" <> None in
-    let writer pid () =
-      let halted = ref false in
-      for k = 1 to updates do
-        if not !halted then
-          try
-            ignore
-              (History.record hists.(pid) ~pid (Reg_spec.Rwrite k) (fun () ->
-                   A.Sim_mem.write regs.(pid) k;
-                   Reg_spec.Rack));
-            last_acked.(pid) <- k;
-            if dbg then
-              Printf.printf "[%d] writer %d acked %d (epoch %d)\n" (Sim.mark ())
-                pid k (A.client_epoch cl ~pid)
-          with Psnap.Net.Unavailable _ ->
-            incr unavailable_ops;
-            halted := true;
-            if dbg then
-              Printf.printf "[%d] writer %d UNAVAILABLE at %d (epoch %d)\n"
-                (Sim.mark ()) pid k (A.client_epoch cl ~pid)
-      done;
-      try
-        match
-          History.record hists.(pid) ~pid Reg_spec.Rread (fun () ->
-              Reg_spec.Rval (A.Sim_mem.read regs.(pid)))
-        with
-        | Reg_spec.Rval v when v < last_acked.(pid) ->
-          if dbg then
-            Printf.printf "[%d] writer %d read-back %d (acked %d)\n"
-              (Sim.mark ()) pid v last_acked.(pid);
-          incr lost_writes;
-          viols :=
-            Printf.sprintf
-              "writer %d: read-back %d below last acked write %d (LOST WRITE)"
-              pid v last_acked.(pid)
-            :: !viols
-        | _ -> ()
-      with Psnap.Net.Unavailable _ -> incr unavailable_ops
-    in
-    let reader pid () =
-      let lastseen = Array.make updaters 0 in
-      for j = 1 to scans do
-        let w = (pid + j) mod updaters in
-        try
-          match
-            History.record hists.(w) ~pid Reg_spec.Rread (fun () ->
-                Reg_spec.Rval (A.Sim_mem.read regs.(w)))
-          with
-          | Reg_spec.Rval v ->
-            if dbg then
-              Printf.printf "[%d] reader %d read reg%d = %d (epoch %d)\n"
-                (Sim.mark ()) pid w v (A.client_epoch cl ~pid);
-            if v < lastseen.(w) then begin
-              incr inversions;
-              viols :=
-                Printf.sprintf
-                  "reader %d: register %d went backwards %d -> %d (stale \
-                   quorum)"
-                  pid w lastseen.(w) v
-                :: !viols
-            end
-            else lastseen.(w) <- v
-          | _ -> ()
-        with Psnap.Net.Unavailable _ -> incr unavailable_ops
-      done
-    in
-    let procs =
-      Array.init nprocs (fun pid ->
-          if pid < updaters then A.wrap_client cl ~pid (writer pid)
-          else if pid < clients then A.wrap_client cl ~pid (reader pid)
-          else if pid < clients + pool then
-            A.replica_body cl ~index:(pid - clients)
-          else R.manager_body rc)
-    in
-    (* Crashed clients restart only to close their session; crashed
-       replicas resume from their durable store cell; a crashed manager
-       re-drives any interrupted reconfiguration from its durable state. *)
-    let recover =
-      Some
-        (fun ~pid ~incarnation:_ ->
-          if pid < clients then A.close_client cl ~pid
-          else if pid < clients + pool then
-            A.replica_body cl ~index:(pid - clients)
-          else R.manager_body rc)
-    in
-    let res = Sim.run ~record_trace ?recover ~sched procs in
-    R.detach rc;
-    let inj, abs_ = Psnap.Net.Transport.Sim.fault_counts () in
-    total_injected := !total_injected + inj;
-    total_absorbed := !total_absorbed + abs_;
-    total_reconfigs := !total_reconfigs + R.reconfig_count rc;
-    for pid = 0 to clients - 1 do
-      max_epoch := max !max_epoch (A.client_epoch cl ~pid)
-    done;
-    if check then
-      Array.iteri
-        (fun w h ->
-          match Reg_lin.check ~init:0 (History.entries h) with
-          | true -> ()
-          | false ->
-            incr lin_fails;
-            viols :=
-              Printf.sprintf "register %d: history not linearizable" w
-              :: !viols
-          | exception Reg_lin.Too_long n ->
-            incr lin_skipped;
-            Printf.printf "lin check skipped for register %d (%d entries)\n" w
-              n)
-        hists;
-    (res, List.rev !viols)
-  in
-  let reconfig_nemesis_of ~seed base =
-    match reconfig_nemesis_name with
-    | "none" -> base
-    | "replica_death" ->
-      Scheduler.replica_death ~seed ~victims:member_pids ~rate:0.01
-        ~max_deaths:replica_death_max base
-    | "rolling_restart" ->
-      Scheduler.rolling_restart ~victims:member_pids ~start_at:60 ~gap:120
-        ~down_for:80 base
-    | "config_churn" ->
-      Scheduler.config_churn ~seed ~rate:0.004 ~max_reconfigs:2 base
-    | "split_brain" ->
-      (* The E21 recipe.  Writer 0's link to the last initial member is
-         cut for the whole run (that member's copy of each of writer 0's
-         writes hangs in flight), one churned rotation swaps the first
-         member for a spare, and the other initial members — a majority —
-         die permanently.  Unfenced, the old quorum keeps committing
-         writer 0's writes after the rotation's state transfer; readers
-         chased onto the new configuration by the deaths meet the
-         transfer snapshot (the swapped-in spare) plus the cut member's
-         pre-cut state, both predating those commits — the lost write.
-         Fenced, the same schedule seals the old epoch first, so writer 0
-         either commits under the new epoch or goes Unavailable. *)
-      let majority = (replicas / 2) + 1 in
-      let death_victims = List.filteri (fun i _ -> i < majority) member_pids in
-      let survivor = clients + replicas - 1 in
-      Scheduler.config_churn ~seed ~rate:0.01 ~max_reconfigs:1
-        (Scheduler.replica_death ~seed:(seed + 1) ~victims:death_victims
-           ~rate:0.0005 ~max_deaths:majority
-           (Scheduler.heal_after ~victim:0 ~peers:[ survivor ] ~at_clock:40
-              ~after:1_000_000 base))
-    | s ->
-      Printf.eprintf
-        "unknown --reconfig-nemesis %S (choose from: none, replica_death, \
-         rolling_restart, config_churn, split_brain)\n"
-        s;
-      exit 2
-  in
-  let net_nemesis_of ~seed base =
-    let inflight = Psnap.Net.Transport.Sim.inflight_links in
-    match net_nemesis_name with
-    | "none" -> base
-    | "partition_storm" ->
-      Scheduler.partition_storm ~seed ~nodes:all_nodes ~rate:net_rate
-        ~heal_after:4000 base
-    | "dup_flood" -> Scheduler.dup_flood ~seed ~inflight ~rate:net_rate base
-    | "lag_spike" -> Scheduler.lag_spike ~seed ~inflight ~rate:net_rate base
-    | s ->
-      Printf.eprintf
-        "unknown --net-nemesis %S under --reconfig (choose from: none, \
-         partition_storm, dup_flood, lag_spike)\n"
-        s;
-      exit 2
-  in
-  let sched_for ~seed =
-    let w = sched_of sched_name ~scanner_pids ~updater_pids ~seed in
-    let w = nemesis_of nemesis_name ~seed w in
-    let w = net_nemesis_of ~seed w in
-    reconfig_nemesis_of ~seed w
-  in
-  let fallback = Scheduler.round_robin () in
-  let replay_sched decisions =
-    Scheduler.replay_decisions ~lenient:true ~fallback decisions
-  in
-  let fails decisions =
-    match run_once ~record_trace:false ~sched:(replay_sched decisions) with
-    | _, viols -> viols <> []
-    | exception _ -> true
-  in
-  let account (res : Sim.result) viols =
-    total_crashes := !total_crashes + List.length res.crashed;
-    total_restarts :=
-      !total_restarts
-      + Array.fold_left (fun a i -> a + (i - 1)) 0 res.incarnations;
-    total_steps := !total_steps + res.clock;
-    violations := !violations + List.length viols
-  in
-  let replaying = replay_file <> None && not shrink in
-  let runs =
-    match replay_file with
-    | Some path when replaying ->
-      let decisions = Shrink.load path in
-      Printf.printf "replaying %d decisions from %s\n"
-        (List.length decisions) path;
-      let res, viols =
-        run_once ~record_trace:false ~sched:(replay_sched decisions)
-      in
-      account res viols;
-      List.iter (fun v -> Printf.printf "  %s\n" v) viols;
-      1
-    | _ ->
-      for s = 0 to seeds - 1 do
-        let seed = seed_base + s in
-        match run_once ~record_trace:shrink ~sched:(sched_for ~seed) with
-        | res, viols ->
-          account res viols;
-          if viols <> [] then begin
-            Printf.printf "seed %d: %d violations\n" seed (List.length viols);
-            List.iter (fun v -> Printf.printf "  %s\n" v) viols;
-            if shrink && !failing_schedule = None then
-              failing_schedule := Some (Trace.schedule res.trace)
-          end
-        | exception e ->
-          incr violations;
-          Printf.printf "seed %d: harness crash: %s\n" seed
-            (Printexc.to_string e)
-      done;
-      seeds
-  in
-  let rm = Metrics.reconfig () in
-  let nm = Metrics.net () in
-  let shrunk_len =
-    match !failing_schedule with
-    | None -> None
-    | Some schedule ->
-      if not (fails schedule) then begin
-        Printf.printf
-          "shrink: recorded schedule does not reproduce deterministically; \
-           skipping\n";
-        None
-      end
-      else begin
-        let minimal, calls = Shrink.minimize ~oracle:fails schedule in
-        Printf.printf "shrink: %d decisions -> %d minimal (%d oracle runs)\n"
-          (List.length schedule) (List.length minimal) calls;
-        List.iter
-          (fun d -> print_endline (Scheduler.decision_to_string d))
-          minimal;
-        Option.iter
-          (fun path ->
-            Shrink.save path minimal;
-            Printf.printf "shrink: minimal schedule saved to %s\n" path)
-          replay_file;
-        Some (List.length minimal)
-      end
-  in
-  Printf.printf
-    "reconfiguration (%s) over ABD quorum registers: %d writers + %d \
-     readers, %d replicas + %d spares, %s, %d runs%s%s%s\n"
-    (if rmode = R.Naive then "NAIVE (no epoch fence)" else "epoch-fenced")
-    updaters scanners replicas spares sched_name runs
-    (if nemesis_name <> "none" then ", nemesis " ^ nemesis_name else "")
-    (if net_nemesis_name <> "none" then ", net-nemesis " ^ net_nemesis_name
-     else "")
-    (if reconfig_nemesis_name <> "none" then
-       ", reconfig-nemesis " ^ reconfig_nemesis_name
-     else "");
-  Printf.printf
-    "faults: %d crashes, %d restarts; net effects: %d injected, %d absorbed\n"
-    !total_crashes !total_restarts !total_injected !total_absorbed;
-  Printf.printf "reconfigurations: %d completed; highest epoch adopted by a \
-                 client: %d\n"
-    !total_reconfigs !max_epoch;
-  Fmt.pr "%a@." Metrics.pp_reconfig rm;
-  Fmt.pr "%a@." Metrics.pp_net nm;
-  let sv = Metrics.serving () in
-  Printf.printf
-    "unavailability: %d ops gave up; breaker: %d opens, %d half-opens, %d \
-     closes\n"
-    !unavailable_ops sv.Metrics.breaker_opens sv.Metrics.breaker_half_opens
-    sv.Metrics.breaker_closes;
-  Option.iter
-    (fun path ->
-      write_json path
-        [
-          ("mem", "\"net\"");
-          ("reconfig", Printf.sprintf "%S" reconfig_mode_name);
-          ("replicas", string_of_int replicas);
-          ("spares", string_of_int spares);
-          ("sched", Printf.sprintf "%S" sched_name);
-          ("nemesis", Printf.sprintf "%S" nemesis_name);
-          ("net_nemesis", Printf.sprintf "%S" net_nemesis_name);
-          ("reconfig_nemesis", Printf.sprintf "%S" reconfig_nemesis_name);
-          ("seed_base", string_of_int seed_base);
-          ("runs", string_of_int runs);
-          ("steps", string_of_int !total_steps);
-          ("crashes", string_of_int !total_crashes);
-          ("restarts", string_of_int !total_restarts);
-          ("violations", string_of_int !violations);
-          ("lost_writes", string_of_int !lost_writes);
-          ("inversions", string_of_int !inversions);
-          ("lin_violations", string_of_int !lin_fails);
-          ("lin_skipped", string_of_int !lin_skipped);
-          ("reconfigs", string_of_int rm.Metrics.reconfigs);
-          ("seals", string_of_int rm.Metrics.seals);
-          ("transfers", string_of_int rm.Metrics.transfers);
-          ("activations", string_of_int rm.Metrics.activations);
-          ("stale_rejects", string_of_int rm.Metrics.stale_rejects);
-          ("epoch_chases", string_of_int rm.Metrics.epoch_chases);
-          ("suspicions", string_of_int rm.Metrics.suspicions);
-          ("replacements", string_of_int rm.Metrics.replacements);
-          ("churn_requests", string_of_int rm.Metrics.churn_requests);
-          ("naive_swaps", string_of_int rm.Metrics.naive_swaps);
-          ("max_epoch", string_of_int !max_epoch);
-          ("net_faults_injected", string_of_int !total_injected);
-          ("net_faults_absorbed", string_of_int !total_absorbed);
-          ("unavailable_ops", string_of_int !unavailable_ops);
-          ( "shrunk_schedule_len",
-            match shrunk_len with Some l -> string_of_int l | None -> "null" );
-        ];
-      Printf.printf "json summary written to %s\n" path)
-    json_file;
-  (* The lost-write and monotonicity oracles are always on (they are the
-     campaign's reason to exist); --check additionally runs the exact
-     per-register linearizability check. *)
-  if expect_violations then
-    if !violations > 0 then begin
-      Printf.printf
-        "checker: %d violations (expected: the naive mode swaps membership \
-         without the epoch fence)\n"
-        !violations;
-      0
-    end
-    else begin
-      Printf.printf "checker: NO violations, but --expect-violations was \
-                     given\n";
-      1
-    end
-  else if !violations = 0 then begin
-    Printf.printf
-      "checker: all %d executions safe across reconfiguration (lost-write + \
-       monotonicity%s)\n"
-      runs
-      (if check then " + per-register linearizability" else "");
-    0
-  end
-  else begin
-    Printf.printf "checker: %d VIOLATIONS\n" !violations;
-    1
-  end
-
-let rec run impl_name shards m r updaters updates scanners scans sched_name
-    seed_base seeds check crash_at nemesis_name mem_faults_arg mem_rate
-    mem_max expect_violations shrink replay_file json_file stick_epoch
-    stall_shard slow_pid max_rounds power_loss_arg checkpoint_every wal_mode
-    mem_backend replicas net_nemesis_name net_mode_name net_rate txn_mode
-    reconfig_mode_name spares reconfig_nemesis_name replica_death_max =
-  if reconfig_mode_name <> "off" then
-    (* the reconfiguration campaign is its own harness over the net
-       backend; --impl and --mem are ignored *)
-    run_reconfig reconfig_mode_name spares updaters updates scanners scans
-      sched_name seed_base seeds check nemesis_name net_nemesis_name net_rate
-      replicas reconfig_nemesis_name replica_death_max expect_violations
-      shrink replay_file json_file
-  else
-  if mem_backend = "net" then begin
-    if
-      List.mem impl_name
-        [ "resilient"; "durable"; "sharded"; "sharded-relaxed"; "txn" ]
-    then begin
-      Printf.eprintf "--mem net does not support --impl %s\n" impl_name;
-      exit 2
-    end;
-    run_net impl_name m r updaters updates scanners scans sched_name
-      seed_base seeds check nemesis_name net_nemesis_name net_mode_name
-      net_rate replicas power_loss_arg expect_violations shrink replay_file
-      json_file
-  end
-  else if mem_backend <> "sim" then begin
-    Printf.eprintf "unknown --mem %S (choose from: sim, net)\n" mem_backend;
-    exit 2
-  end
-  else if impl_name = "resilient" then
-    run_resilient shards m r updaters updates scanners scans sched_name
-      seed_base seeds nemesis_name
-      (mem_kinds_of mem_faults_arg)
-      mem_rate mem_max stick_epoch stall_shard slow_pid max_rounds json_file
-  else if impl_name = "durable" then
-    run_durable m r updaters updates scanners scans sched_name seed_base
-      seeds nemesis_name
-      (mem_kinds_of mem_faults_arg)
-      mem_rate mem_max power_loss_arg checkpoint_every wal_mode
-      expect_violations shrink replay_file json_file
-  else if impl_name = "txn" then
-    run_txn m r updaters updates scanners scans sched_name seed_base seeds
-      nemesis_name
-      (mem_kinds_of mem_faults_arg)
-      mem_rate mem_max txn_mode expect_violations shrink replay_file
-      json_file
-  else run_flat impl_name shards m r updaters updates scanners scans
-    sched_name seed_base seeds check crash_at nemesis_name mem_faults_arg
-    mem_rate mem_max expect_violations shrink replay_file json_file
-
-and run_flat impl_name shards m r updaters updates scanners scans sched_name
-    seed_base seeds check crash_at nemesis_name mem_faults_arg mem_rate
-    mem_max expect_violations shrink replay_file json_file =
-  let mem_kinds = mem_kinds_of mem_faults_arg in
-  (* Cells must be registered as fault targets before the workload is
-     built; tracking also enables the per-cell history Stale_read draws
-     on.  Unconditional: replayed schedule files may contain fault
-     decisions even when --mem-faults is off. *)
-  Mem.Sim.set_fault_tracking true;
-  Metrics.reset_mem_faults ();
-  Metrics.reset_serving ();
-  let (module S : Snapshot.S) = impl_of ~shards impl_name in
-  if r > m then (
-    Printf.eprintf "r (%d) must be <= m (%d)\n" r m;
-    exit 2);
-  let n = updaters + scanners in
-  let scanner_pids = List.init scanners (fun j -> updaters + j) in
-  let updater_pids = List.init updaters (fun i -> i) in
-  let init = Array.init m (fun i -> -(i + 1)) in
-  let faults = nemesis_name <> "none" in
-  let replaying = replay_file <> None && not shrink in
-  let violations = ref 0 in
-  let samples = ref [] in
-  let worst_collects = ref 0 in
-  let total_crashes = ref 0 in
-  let total_restarts = ref 0 in
-  let total_steps = ref 0 in
-  let failing_schedule = ref None in
-  (* One complete execution of the workload under [sched].  Fresh object,
-     fresh history; recovery (when [faults]) respawns a crashed pid on the
-     same body with a fresh handle — all local state is rebuilt — writing
-     incarnation-tagged values so every written value stays unique. *)
-  let run_once ~record_trace ~sched =
-    let rec_ = Metrics.create () in
-    let hist = History.create ~now:Sim.mark () in
-    (* Cells allocated by [create] (outside the run) get prerun oids; reset
-       the counter so they are the same on every execution of the workload —
-       memory-fault schedules target cells by oid, so replay and shrinking
-       need oids to be a pure function of the workload. *)
-    Sim.reset_prerun_oids ();
-    let t = S.create ~n (Array.copy init) in
-    let updater ~incarnation pid () =
-      let h = S.handle t ~pid in
-      for k = 1 to updates do
-        let i = (k + (pid * 7)) mod m in
-        let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-        Metrics.measure rec_ ~pid ~kind:"update" (fun () ->
-            if check then
-              ignore
-                (History.record hist ~pid (Snapshot_spec.Update (i, v))
-                   (fun () ->
-                     S.update h i v;
-                     Snapshot_spec.Ack))
-            else S.update h i v)
-      done
-    in
-    let scanner pid () =
-      let h = S.handle t ~pid in
-      let idxs =
-        Array.init r (fun k -> ((pid - updaters) + (k * (m / max r 1))) mod m)
-        |> Array.to_list |> List.sort_uniq compare |> Array.of_list
-      in
-      for _ = 1 to scans do
-        Metrics.measure rec_ ~pid ~kind:"scan" (fun () ->
-            if check then
-              ignore
-                (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-                     Snapshot_spec.Vals (S.scan h idxs)))
-            else ignore (S.scan h idxs));
-        worst_collects := max !worst_collects (S.last_scan_collects h)
-      done
-    in
-    let body ~incarnation pid =
-      if pid < updaters then updater ~incarnation pid else scanner pid
-    in
-    let procs = Array.init n (fun pid -> body ~incarnation:1 pid) in
-    let recover =
-      if faults || replaying then
-        Some (fun ~pid ~incarnation -> body ~incarnation pid)
-      else None
-    in
-    let res = Sim.run ~record_trace ?recover ~sched procs in
-    let viols =
-      if check then
-        Snapshot_spec.check_observations ~init (History.entries hist)
-      else []
-    in
-    (res, viols, Metrics.samples rec_)
-  in
-  let fallback = Scheduler.round_robin () in
-  let replay_sched decisions =
-    Scheduler.replay_decisions ~lenient:true ~fallback decisions
-  in
-  (* Oracle for the shrinker: does this decision sequence still produce a
-     checker violation (or crash the harness)? *)
-  let fails decisions =
-    match run_once ~record_trace:false ~sched:(replay_sched decisions) with
-    | _, viols, _ -> viols <> []
-    | exception _ -> true
-  in
-  let account (res : Sim.result) viols smpls =
-    samples := smpls :: !samples;
-    total_crashes := !total_crashes + List.length res.crashed;
-    total_restarts :=
-      !total_restarts
-      + Array.fold_left (fun a i -> a + (i - 1)) 0 res.incarnations;
-    total_steps := !total_steps + res.clock;
-    violations := !violations + List.length viols
-  in
-  let runs =
-    match replay_file with
-    | Some path when replaying ->
-      let decisions = Shrink.load path in
-      Printf.printf "replaying %d decisions from %s\n" (List.length decisions)
-        path;
-      let res, viols, smpls = run_once ~record_trace:false ~sched:(replay_sched decisions) in
-      account res viols smpls;
-      List.iter
-        (fun v -> Fmt.pr "  %a@." Snapshot_spec.pp_violation v)
-        viols;
-      1
-    | _ ->
-      for s = 0 to seeds - 1 do
-        let seed = seed_base + s in
-        let base = sched_of sched_name ~scanner_pids ~updater_pids ~seed in
-        let sched =
-          let w = nemesis_of nemesis_name ~seed base in
-          let w =
-            match mem_kinds with
-            | Some kinds ->
-              Scheduler.mem_storm ~seed ~kinds ~rate:mem_rate
-                ~max_faults:mem_max w
-            | None -> w
-          in
-          match crash_at with
-          | Some at_clock -> Scheduler.with_crash ~pid:0 ~at_clock w
-          | None -> w
-        in
-        let record_trace = shrink in
-        (* A corrupted value can crash the harness outright (out-of-range
-           index, never-written payload): under --mem-faults that is a
-           failure of the implementation, not of the driver — count it and
-           keep scanning seeds (the trace died with the run, so only
-           exception-free failing seeds feed the shrinker). *)
-        (match run_once ~record_trace ~sched with
-        | res, viols, smpls ->
-          account res viols smpls;
-          if viols <> [] && !failing_schedule = None then begin
-            Printf.printf "seed %d: %d violations\n" seed (List.length viols);
-            if shrink then
-              failing_schedule := Some (Trace.schedule res.trace)
-          end
-        | exception e when mem_kinds <> None ->
-          incr violations;
-          Printf.printf "seed %d: harness crash: %s\n" seed
-            (Printexc.to_string e))
-      done;
-      seeds
-  in
-  (* Minimize the first failing schedule and print/save it so CI logs are
-     actionable and the failure replays exactly. *)
-  let shrunk_len =
-    match !failing_schedule with
-    | None -> None
-    | Some schedule ->
-      if not (fails schedule) then begin
-        Printf.printf
-          "shrink: recorded schedule does not reproduce deterministically; \
-           skipping\n";
-        None
-      end
-      else begin
-        let minimal, calls = Shrink.minimize ~oracle:fails schedule in
-        Printf.printf
-          "shrink: %d decisions -> %d minimal (%d oracle runs)\n"
-          (List.length schedule) (List.length minimal) calls;
-        List.iter
-          (fun d -> print_endline (Scheduler.decision_to_string d))
-          minimal;
-        Option.iter
-          (fun path ->
-            Shrink.save path minimal;
-            Printf.printf "shrink: minimal schedule saved to %s\n" path)
-          replay_file;
-        Some (List.length minimal)
-      end
-  in
-  let all = List.concat !samples in
-  let of_kind k = List.filter (fun (s : Metrics.sample) -> s.kind = k) all in
-  let row kind =
-    let ss = of_kind kind in
-    [
-      kind;
-      string_of_int (List.length ss);
-      Printf.sprintf "%.1f" (Metrics.mean_steps ss);
-      string_of_int (Metrics.max_steps ss);
-    ]
-  in
-  Table.print
-    (Table.make
-       ~title:
-         (Printf.sprintf "%s: m=%d r=%d %d updaters x %d, %d scanners x %d, %s, %d runs%s%s"
-            S.name m r updaters updates scanners scans sched_name runs
-            ((if faults then ", nemesis " ^ nemesis_name else "")
-            ^
-            match mem_kinds with
-            | Some _ -> ", mem-faults " ^ mem_faults_arg
-            | None -> "")
-            (match crash_at with
-            | Some c -> Printf.sprintf ", crash p0@%d" c
-            | None -> ""))
-       ~header:[ "operation"; "count"; "mean steps"; "worst steps" ]
-       [ row "update"; row "scan" ]);
-  Printf.printf "worst collects per scan: %d\n" !worst_collects;
-  if faults || replaying then
-    Printf.printf "faults: %d crashes, %d restarts\n" !total_crashes
-      !total_restarts;
-  let mf = Metrics.mem_faults () in
-  let hardened_stats = mf.Metrics.hardened in
-  if
-    mem_kinds <> None
-    || Metrics.total_injected mf > 0
-    || Metrics.total_detected mf > 0
-    || hardened_stats.Mem.Hardened.repairs > 0
-  then Fmt.pr "%a@." Metrics.pp_mem_faults mf;
-  let cu =
-    List.fold_left
-      (fun acc per_run ->
-        max acc
-          (Metrics.max_interval_contention
-             ~over:(fun s -> s.Metrics.kind = "scan")
-             per_run))
-      0 !samples
-  in
-  Printf.printf "max interval contention seen by a scan: %d\n" cu;
-  let sv = Metrics.serving () in
-  if sv.Metrics.scan_rounds > 0 then
-    Printf.printf "scan validation: %d rounds total, %d retry rounds\n"
-      sv.Metrics.scan_rounds sv.Metrics.scan_retries;
-  Option.iter
-    (fun path ->
-      write_json path
-        [
-          ("impl", Printf.sprintf "%S" S.name);
-          ("sched", Printf.sprintf "%S" sched_name);
-          ("nemesis", Printf.sprintf "%S" nemesis_name);
-          ("seed_base", string_of_int seed_base);
-          ("runs", string_of_int runs);
-          ("steps", string_of_int !total_steps);
-          ("crashes", string_of_int !total_crashes);
-          ("restarts", string_of_int !total_restarts);
-          ("violations", string_of_int !violations);
-          ("scan_rounds", string_of_int sv.Metrics.scan_rounds);
-          ("scan_retries", string_of_int sv.Metrics.scan_retries);
-          ("mem_faults_injected", string_of_int (Metrics.total_injected mf));
-          ("mem_faults_detected", string_of_int (Metrics.total_detected mf));
-          ( "hardened_repairs",
-            string_of_int hardened_stats.Mem.Hardened.repairs );
-          ( "shrunk_schedule_len",
-            match shrunk_len with Some l -> string_of_int l | None -> "null" );
-        ];
-      Printf.printf "json summary written to %s\n" path)
-    json_file;
-  if check then
-    if expect_violations then
-      if !violations > 0 then
-        Printf.printf
-          "checker: %d violations (expected: raw registers under memory \
-           faults)\n"
-          !violations
-      else begin
-        Printf.printf
-          "checker: NO violations, but --expect-violations was given\n";
-        exit 1
-      end
-    else if !violations = 0 then
-      Printf.printf "checker: all %d executions linearizable (observation check)\n" runs
-    else begin
-      Printf.printf "checker: %d VIOLATIONS\n" !violations;
-      exit 1
-    end;
-  0
+let run config =
+  try
+    let (Scenarios.Any t) = Scenarios.of_config config in
+    Campaign.run config t
+  with Scenario.Usage msg ->
+    prerr_endline msg;
+    2
 
 open Cmdliner
 
-let impl =
-  Arg.(
-    value & opt string "fig3"
-    & info [ "impl" ] ~docv:"NAME"
-        ~doc:
-          (Printf.sprintf "Implementation: %s."
-             (String.concat ", " impl_names)))
+let arg : type a. a Scenario.kind -> a -> Arg.info -> a Arg.t =
+ fun kind default info ->
+  match kind with
+  | Switch -> Arg.flag info
+  | Int -> Arg.opt Arg.int default info
+  | Float -> Arg.opt Arg.float default info
+  | Text -> Arg.opt Arg.string default info
+  | Some_int -> Arg.opt Arg.(some int) default info
+  | Some_text -> Arg.opt Arg.(some string) default info
 
-let shards =
-  Arg.(
-    value & opt int 4
-    & info [ "shards" ] ~docv:"S"
-        ~doc:
-          "Shard count for the sharded implementations (fig3 instances \
-           behind round-robin placement).")
-
-let m = Arg.(value & opt int 64 & info [ "m" ] ~doc:"Vector size.")
-
-let r = Arg.(value & opt int 8 & info [ "r" ] ~doc:"Components per scan.")
-
-let updaters = Arg.(value & opt int 3 & info [ "updaters" ] ~doc:"Updater processes.")
-
-let updates = Arg.(value & opt int 30 & info [ "updates" ] ~doc:"Updates per updater.")
-
-let scanners = Arg.(value & opt int 2 & info [ "scanners" ] ~doc:"Scanner processes.")
-
-let scans = Arg.(value & opt int 8 & info [ "scans" ] ~doc:"Scans per scanner.")
-
-let sched =
-  Arg.(
-    value & opt string "random"
-    & info [ "sched" ]
-        ~doc:(Printf.sprintf "Scheduler: %s." (String.concat ", " scheds)))
-
-let seed_base =
-  Arg.(
-    value & opt int 0
-    & info [ "seed" ] ~docv:"N"
-        ~doc:"Base seed; execution $(i,k) uses seed N+k.")
-
-let seeds = Arg.(value & opt int 10 & info [ "seeds" ] ~doc:"Seeded executions.")
-
-let check =
-  Arg.(value & flag & info [ "check" ] ~doc:"Validate histories (observation checker).")
-
-let crash_at =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "crash-at" ] ~docv:"CLOCK"
-        ~doc:"Crash process 0 at this step (permanent halting failure).")
-
-let nemesis =
-  Arg.(
-    value & opt string "none"
-    & info [ "nemesis" ] ~docv:"NAME"
-        ~doc:
-          (Printf.sprintf
-             "Fault injector layered over the scheduler: %s.  Crashed \
-              processes restart on a recovery body that rebuilds local \
-              state from scratch."
-             (String.concat ", " nemeses)))
-
-let mem_faults_arg =
-  Arg.(
-    value & opt string "none"
-    & info [ "mem-faults" ] ~docv:"KINDS"
-        ~doc:
-          "Memory-fault storm over the base scheduler: comma-separated \
-           fault kinds from lose (silently dropped writes), stale \
-           (superseded values served once), corrupt (stored value garbled), \
-           stick (cell stops accepting writes); or $(b,all).  Composable \
-           with $(b,--nemesis) and $(b,--shrink).")
-
-let mem_rate =
-  Arg.(
-    value & opt float 0.02
-    & info [ "mem-rate" ] ~docv:"P"
-        ~doc:"Per-decision-point injection probability for --mem-faults.")
-
-let mem_max =
-  Arg.(
-    value & opt int 8
-    & info [ "mem-max" ] ~docv:"N"
-        ~doc:"Maximum memory faults injected per run.")
-
-let expect_violations =
-  Arg.(
-    value & flag
-    & info [ "expect-violations" ]
-        ~doc:
-          "Invert the $(b,--check) exit status: succeed only if at least \
-           one checker violation occurred (used to demonstrate that raw \
-           registers break under memory faults).")
-
-let shrink =
-  Arg.(
-    value & flag
-    & info [ "shrink" ]
-        ~doc:
-          "On a checker violation, delta-debug the recorded schedule to a \
-           minimal failing decision list and print it (saved to \
-           $(b,--replay-file) if given).")
-
-let replay_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "replay-file" ] ~docv:"FILE"
-        ~doc:
-          "Without $(b,--shrink): replay the schedule stored in FILE \
-           instead of running seeded executions.  With $(b,--shrink): \
-           write the minimal failing schedule to FILE.")
-
-let json_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write a machine-readable campaign summary to FILE.")
-
-let stick_epoch =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "stick-epoch" ] ~docv:"SHARD"
-        ~doc:
-          "($(b,--impl resilient) only) Stick shard SHARD's epoch cell at \
-           its first access: updates keep drawing duplicate epochs until \
-           the stuck-epoch detector triggers a shard rebuild.  The \
-           campaign then requires at least one completed rebuild and a \
-           fully-validated scan of the rebuilt shard.")
-
-let stall_shard =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "stall-shard" ] ~docv:"SHARD"
-        ~doc:
-          "($(b,--impl resilient) only) Latency nemesis: withhold every \
-           access to shard SHARD's cells during clock window [50, 450], \
-           running other processes instead.")
-
-let slow_pid =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "slow-pid" ] ~docv:"PID"
-        ~doc:
-          "($(b,--impl resilient) only) Latency nemesis: let PID take only \
-           every 8th of its scheduled steps (a slow domain).")
-
-let max_rounds =
-  Arg.(
-    value & opt int 6
-    & info [ "max-rounds" ] ~docv:"N"
-        ~doc:
-          "($(b,--impl resilient) only) Scan round budget: a validated \
-           cross-shard scan degrades explicitly after N rounds.")
-
-let power_loss_arg =
-  Arg.(
-    value & opt string "none"
-    & info [ "power-loss" ] ~docv:"MODE"
-        ~doc:
-          "($(b,--impl durable) only) Power-loss fault injection: \
-           $(b,none); a clock value (one blackout at that step: every \
-           device drops its un-synced write cache except a torn fragment, \
-           every process crashes and restarts on a recovery body); \
-           $(b,storm) (seeded random blackouts); $(b,sweep) (per seed, one \
-           baseline run plus one run with a blackout at every schedule \
-           point — the exhaustive recovery campaign).")
-
-let checkpoint_every =
-  Arg.(
-    value & opt int 0
-    & info [ "checkpoint-every" ] ~docv:"N"
-        ~doc:
-          "($(b,--impl durable) only) Seal a checkpoint every N commits \
-           (0 = log-only, never checkpoint).")
-
-let wal_mode =
-  Arg.(
-    value & opt string "write-ahead"
-    & info [ "wal-mode" ] ~docv:"MODE"
-        ~doc:
-          "($(b,--impl durable) only) $(b,write-ahead) (sound: append + \
-           sync before the update is applied or acknowledged) or \
-           $(b,late-log) (deliberately unsound: apply first, log after — \
-           exists to show the power-loss campaign catches \
-           committed-then-lost bugs; pair with $(b,--expect-violations)).")
-
-let mem_backend =
-  Arg.(
-    value & opt string "sim"
-    & info [ "mem" ] ~docv:"BACKEND"
-        ~doc:
-          "Memory backend: $(b,sim) (the step-counting shared memory) or \
-           $(b,net) (ABD quorum registers replicated across \
-           $(b,--replicas) crash-prone replica processes over the \
-           simulated message transport — docs/MODEL.md section 14).")
-
-let replicas =
-  Arg.(
-    value & opt int 3
-    & info [ "replicas" ] ~docv:"N"
-        ~doc:"($(b,--mem net) only) Replica processes backing each register.")
-
-let net_nemesis =
-  Arg.(
-    value & opt string "none"
-    & info [ "net-nemesis" ] ~docv:"NAME"
-        ~doc:
-          "($(b,--mem net) only) Network fault injector layered over the \
-           scheduler: $(b,none), $(b,partition_storm) (seeded symmetric \
-           partitions that heal), $(b,heal_after) (one deterministic \
-           quorum-loss window against replica 0), $(b,dup_flood) \
-           (duplicate deliveries), $(b,lag_spike) (reordering bursts).  \
-           Composable with $(b,--nemesis) and $(b,--shrink).")
-
-let net_mode =
-  Arg.(
-    value & opt string "abd"
-    & info [ "net-mode" ] ~docv:"MODE"
-        ~doc:
-          "($(b,--mem net) only) $(b,abd) (sound: reads write back the \
-           maximal value before returning) or $(b,weak) (deliberately \
-           unsound fast reads without write-back — exhibits new/old \
-           inversion under partitions; pair with \
-           $(b,--expect-violations)).")
-
-let net_rate =
-  Arg.(
-    value & opt float 0.02
-    & info [ "net-rate" ] ~docv:"P"
-        ~doc:"Per-decision-point injection probability for --net-nemesis.")
-
-let reconfig_mode =
-  Arg.(
-    value & opt string "off"
-    & info [ "reconfig" ] ~docv:"MODE"
-        ~doc:
-          "Online-reconfiguration campaign over the net backend \
-           (docs/MODEL.md section 16): $(b,off), $(b,fenced) (sound: seal \
-           the old configuration, state-transfer under the new epoch, \
-           epoch-fence stale requests) or $(b,naive) (deliberately \
-           unsound: membership swaps without the fence — a write \
-           concurrent with the transfer can be lost; pair with \
-           $(b,--expect-violations)).  Writers are $(b,--updaters) x \
-           $(b,--updates), readers $(b,--scanners) x $(b,--scans).")
-
-let spares =
-  Arg.(
-    value & opt int 2
-    & info [ "spares" ] ~docv:"N"
-        ~doc:
-          "($(b,--reconfig) only) Spare pool replicas available for \
-           promotion by replacement and rotation configurations.")
-
-let reconfig_nemesis =
-  Arg.(
-    value & opt string "none"
-    & info [ "reconfig-nemesis" ] ~docv:"NAME"
-        ~doc:
-          "($(b,--reconfig) only) Membership fault injector: $(b,none), \
-           $(b,replica_death) (seeded permanent crashes of initial \
-           members, capped by $(b,--replica-death)), \
-           $(b,rolling_restart) (deterministic maintenance roll), \
-           $(b,config_churn) (seeded Reconfig decisions — rotations \
-           under load), $(b,split_brain) (one churned rotation plus \
-           permanent death of a majority of the initial members — the \
-           E21 recipe).  Composable with $(b,--nemesis), \
-           $(b,--net-nemesis) and $(b,--shrink).")
-
-let replica_death_max =
-  Arg.(
-    value & opt int 1
-    & info [ "replica-death" ] ~docv:"N"
-        ~doc:
-          "Maximum permanent replica deaths injected by \
-           $(b,--reconfig-nemesis replica_death).")
-
-let txn_mode =
-  Arg.(
-    value & opt string "fcw"
-    & info [ "txn-mode" ] ~docv:"MODE"
-        ~doc:
-          "($(b,--impl txn) only) $(b,fcw) (sound: first-committer-wins \
-           write-write validation at commit) or $(b,lww) (deliberately \
-           unsound last-writer-wins: commit skips validation — exists to \
-           show the snapshot-isolation oracle catches lost updates; pair \
-           with $(b,--expect-violations)).")
+(* Each option sets its field of the configuration. *)
+let config =
+  List.fold_left
+    (fun config (Scenario.Flag f) ->
+      let info = Arg.info [ f.name ] ~docv:f.docv ~doc:f.doc in
+      let value = Arg.value (arg f.kind (f.get Scenario.default) info) in
+      Term.(const f.set $ config $ value))
+    (Term.const Scenario.default) Scenarios.flags
 
 let cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"drive partial snapshot workloads in the simulator")
-    Term.(
-      const run $ impl $ shards $ m $ r $ updaters $ updates $ scanners
-      $ scans $ sched $ seed_base $ seeds $ check $ crash_at $ nemesis
-      $ mem_faults_arg $ mem_rate $ mem_max $ expect_violations $ shrink
-      $ replay_file $ json_file $ stick_epoch $ stall_shard $ slow_pid
-      $ max_rounds $ power_loss_arg $ checkpoint_every $ wal_mode
-      $ mem_backend $ replicas $ net_nemesis $ net_mode $ net_rate
-      $ txn_mode $ reconfig_mode $ spares $ reconfig_nemesis
-      $ replica_death_max)
+    Term.(const run $ config)
 
 let () = exit (Cmd.eval' cmd)

@@ -191,14 +191,6 @@ let note_heal = function
 
 let note_stuck_epoch () = incr s_stuck_epochs
 
-let pp_serving ppf s =
-  Format.fprintf ppf
-    "serving: rounds=%d retries=%d degraded=%d backoff=%d breaker \
-     o/h/c=%d/%d/%d heals s/c/a=%d/%d/%d stuck-epochs=%d"
-    s.scan_rounds s.scan_retries s.degraded_scans s.backoff_steps
-    s.breaker_opens s.breaker_half_opens s.breaker_closes s.heals_started
-    s.heals_completed s.heals_aborted s.stuck_epochs
-
 (** {2 Durability counters} *)
 
 (* Global counters bumped by the Psnap_persist layer (WAL appends,
@@ -290,15 +282,6 @@ let note_truncation ~bytes ~torn ~corrupt =
   if corrupt then incr d_corrupt_records
 
 let note_power_loss () = incr d_power_losses
-
-let pp_durable ppf d =
-  Format.fprintf ppf
-    "durable: appends=%d syncs=%d bytes=%d commits=%d checkpoints=%d \
-     recoveries=%d replayed=%d truncated=%dB torn=%d corrupt=%d \
-     power-losses=%d"
-    d.wal_appends d.wal_syncs d.wal_bytes d.commits d.checkpoints
-    d.recoveries d.replayed_updates d.truncated_bytes d.torn_records
-    d.corrupt_records d.power_losses
 
 (** {2 Network counters} *)
 
@@ -416,15 +399,6 @@ let mean_quorum_wait n =
   if n.quorum_ops = 0 then 0.0
   else float_of_int n.quorum_wait /. float_of_int n.quorum_ops
 
-let pp_net ppf n =
-  Format.fprintf ppf
-    "net: sends=%d delivers=%d drops=%d dups=%d delays=%d cuts=%d heals=%d \
-     rounds=%d resends=%d writebacks=%d/%d-skipped unavailable=%d \
-     quorum-wait=%.1f"
-    n.sends n.delivers n.drops n.dups n.delays n.cuts n.heals n.rounds
-    n.resends n.writebacks n.writeback_skips n.unavailable
-    (mean_quorum_wait n)
-
 (** {2 Reconfiguration counters} *)
 
 (* Global counters bumped by the Psnap_net membership layer
@@ -511,14 +485,6 @@ let note_replacement () = incr r_replacements
 let note_churn_request () = incr r_churn_requests
 
 let note_naive_swap () = incr r_naive_swaps
-
-let pp_reconfig ppf r =
-  Format.fprintf ppf
-    "reconfig: reconfigs=%d seals=%d transfers=%d activations=%d \
-     stale-rejects=%d epoch-chases=%d suspicions=%d replacements=%d \
-     churn-requests=%d naive-swaps=%d"
-    r.reconfigs r.seals r.transfers r.activations r.stale_rejects
-    r.epoch_chases r.suspicions r.replacements r.churn_requests r.naive_swaps
 
 (** {2 Transaction counters} *)
 

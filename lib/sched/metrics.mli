@@ -110,8 +110,6 @@ val note_heal : [ `Started | `Completed | `Aborted ] -> unit
 
 val note_stuck_epoch : unit -> unit
 
-val pp_serving : Format.formatter -> serving -> unit
-
 (** {2 Durability counters}
 
     Global counters bumped by the [Psnap_persist] layer (docs/MODEL.md
@@ -155,8 +153,6 @@ val note_recovery : replayed:int -> unit
 val note_truncation : bytes:int -> torn:bool -> corrupt:bool -> unit
 
 val note_power_loss : unit -> unit
-
-val pp_durable : Format.formatter -> durable -> unit
 
 (** {2 Network counters}
 
@@ -215,8 +211,6 @@ val note_quorum_op : wait:int -> unit
 (** Mean poll-steps per completed quorum operation. *)
 val mean_quorum_wait : net -> float
 
-val pp_net : Format.formatter -> net -> unit
-
 (** {2 Reconfiguration counters}
 
     Global counters bumped by the [Psnap_net] membership layer
@@ -267,8 +261,6 @@ val note_replacement : unit -> unit
 val note_churn_request : unit -> unit
 
 val note_naive_swap : unit -> unit
-
-val pp_reconfig : Format.formatter -> reconfig -> unit
 
 (** {2 Transaction counters}
 

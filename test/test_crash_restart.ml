@@ -246,60 +246,46 @@ let test_schedule_file_roundtrip () =
 
 (* ---- Figures 1 and 3 stay linearizable under chaos with restarts ---- *)
 
-(* Updaters write incarnation-tagged values (all globally unique), so the
-   observation checker retains full precision; a restarted process rebuilds
-   its handle — all local state — from scratch. *)
-let snapshot_chaos_campaign (module S : Snapshot.S) ~seeds =
-  let m = 8 and n = 3 in
-  let init = Array.init m (fun i -> -(i + 1)) in
+(* bin/simulate.exe's flat scenario: updaters write incarnation-tagged
+   values (all globally unique), so the observation checker retains full
+   precision; a restarted process rebuilds its handle — all local state —
+   from scratch. *)
+let snapshot_chaos_campaign impl ~seeds =
+  let scenario =
+    Psnap_harness.Scenarios.flat
+      {
+        Psnap_harness.Scenario.default with
+        impl;
+        m = 8;
+        r = 3;
+        updaters = 2;
+        updates = 6;
+        scanners = 1;
+        scans = 4;
+        check = true;
+      }
+  in
   let restarts = ref 0 in
   for seed = 0 to seeds - 1 do
-    let hist = History.create ~now:Sim.mark () in
-    let t = S.create ~n (Array.copy init) in
-    let updater ~incarnation pid () =
-      let h = S.handle t ~pid in
-      for k = 1 to 6 do
-        let i = (k + (pid * 3)) mod m in
-        let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-        ignore
-          (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-               S.update h i v;
-               Snapshot_spec.Ack))
-      done
-    in
-    let scanner pid () =
-      let h = S.handle t ~pid in
-      let idxs = [| 0; 2; 5 |] in
-      for _ = 1 to 4 do
-        ignore
-          (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-               Snapshot_spec.Vals (S.scan h idxs)))
-      done
-    in
-    let body ~incarnation pid =
-      if pid < n - 1 then updater ~incarnation pid else scanner pid
-    in
-    let recover ~pid ~incarnation = body ~incarnation pid in
-    let res =
-      Sim.run ~recover
+    let o =
+      Psnap_harness.Campaign.run_once scenario
         ~sched:(Scheduler.chaos ~seed ~rate:0.08 ~max_restart_delay:12 ())
-        (Array.init n (body ~incarnation:1))
     in
     restarts :=
-      !restarts + Array.fold_left (fun a i -> a + (i - 1)) 0 res.incarnations;
-    let viols = Snapshot_spec.check_observations ~init (History.entries hist) in
-    if viols <> [] then
+      !restarts
+      + Array.fold_left (fun a i -> a + (i - 1)) 0 o.result.incarnations;
+    if o.violations <> [] then
       Alcotest.failf "seed %d: %a" seed
         Fmt.(list ~sep:comma Snapshot_spec.pp_violation)
-        (List.filteri (fun i _ -> i < 3) viols)
+        (List.filteri (fun i _ -> i < 3) o.violations)
   done;
   check_bool "campaign injected restarts" true (!restarts > 0)
 
 let test_fig1_linearizable_under_chaos () =
-  snapshot_chaos_campaign (module Sim_fig1) ~seeds:25
+  snapshot_chaos_campaign "fig1" ~seeds:25
 
 let test_fig3_linearizable_under_chaos () =
-  snapshot_chaos_campaign (module Sim_fig3) ~seeds:25
+  snapshot_chaos_campaign "fig3" ~seeds:25
 
 (* ---- Figure 2 (active set) under chaos with restarts ---- *)
 
@@ -626,7 +612,7 @@ let test_fig3_tolerates_weak_cas () =
      must stay linearizable and no update may be silently dropped. *)
   M.set_weak_cas ~seed:11 ~rate:0.3 ();
   Fun.protect ~finally:M.clear_weak_cas (fun () ->
-      snapshot_chaos_campaign (module Sim_fig3) ~seeds:10;
+      snapshot_chaos_campaign "fig3" ~seeds:10;
       check_bool "spurious failures actually injected" true
         (M.weak_cas_spurious () > 0))
 

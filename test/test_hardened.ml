@@ -273,64 +273,42 @@ let test_replicated_k2_fails_over_stuck_commit () =
 (* ---- E15, constructive half: the paper's algorithms over hardened
    registers stay linearizable under the storms that break raw cells ---- *)
 
-let storm_kinds = [ Event.Corrupt; Event.Stale_read; Event.Lost_write ]
-
-let hardened_chaos_campaign (module S : Snapshot.S) ~seeds =
-  let m = 6 and n = 3 in
-  let init = Array.init m (fun i -> -(i + 1)) in
-  let injected = ref 0 in
+let hardened_chaos_campaign impl ~seeds =
+  (* bin/simulate.exe's flat scenario under a corrupt/stale/lose storm *)
+  let config =
+    {
+      Psnap_harness.Scenario.default with
+      impl;
+      m = 6;
+      r = 3;
+      updaters = 2;
+      updates = 4;
+      scanners = 1;
+      scans = 3;
+      seeds;
+      check = true;
+      mem_faults = "corrupt,stale,lose";
+      mem_rate = 0.03;
+      mem_max = 6;
+    }
+  in
   reset ();
-  for seed = 0 to seeds - 1 do
-    Sim.reset_prerun_oids ();
-    let hist = History.create ~now:Sim.mark () in
-    let t = S.create ~n (Array.copy init) in
-    let updater pid () =
-      let h = S.handle t ~pid in
-      for k = 1 to 4 do
-        let i = (k + (pid * 3)) mod m in
-        let v = (pid * 1_000_000) + k in
-        ignore
-          (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-               S.update h i v;
-               Snapshot_spec.Ack))
-      done
-    in
-    let scanner pid () =
-      let h = S.handle t ~pid in
-      let idxs = [| 0; 2; 4 |] in
-      for _ = 1 to 3 do
-        ignore
-          (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-               Snapshot_spec.Vals (S.scan h idxs)))
-      done
-    in
-    let procs = [| updater 0; updater 1; scanner 2 |] in
-    let res =
-      Sim.run ~record_trace:true
-        ~sched:
-          (Scheduler.mem_storm ~seed ~kinds:storm_kinds ~rate:0.03
-             ~max_faults:6
-             (Scheduler.random ~seed ()))
-        procs
-    in
-    injected := !injected + List.length (Trace.mem_faults res.trace);
-    match Snapshot_spec.check_observations ~init (History.entries hist) with
-    | [] -> ()
-    | v :: _ ->
-      Alcotest.failf "seed %d: %a" seed Snapshot_spec.pp_violation v
-  done;
-  check_bool "campaign injected faults" true (!injected > 0);
+  let scenario = Psnap_harness.Scenarios.flat config in
+  check_int "every execution linearizable" 0
+    (Psnap_harness.Campaign.run config scenario);
+  check_bool "campaign injected faults" true
+    (Metrics.total_injected (Metrics.mem_faults ()) > 0);
   check_bool "hardening detected faults" true
     (detected () + (H.stats ()).H.repairs > 0)
 
 let test_fig3_hardened_linearizable_under_storm () =
-  hardened_chaos_campaign (module Sim_fig3_hardened) ~seeds:20
+  hardened_chaos_campaign "fig3-hardened" ~seeds:20
 
 let test_fig1_hardened_linearizable_under_storm () =
-  hardened_chaos_campaign (module Sim_fig1_hardened) ~seeds:20
+  hardened_chaos_campaign "fig1-hardened" ~seeds:20
 
 let test_fig3_selfcheck_linearizable_under_storm () =
-  hardened_chaos_campaign (module Sim_fig3_selfcheck) ~seeds:20
+  hardened_chaos_campaign "fig3-selfcheck" ~seeds:20
 
 let () =
   Alcotest.run "hardened"

@@ -166,6 +166,92 @@ let test_experiment_shape () =
         t.Table.rows)
     Experiments.by_name
 
+(* ---- the scenario engine ---- *)
+
+module Scenario = Psnap_harness.Scenario
+module Campaign = Psnap_harness.Campaign
+module Scenarios = Psnap_harness.Scenarios
+
+let campaign config =
+  let (Scenarios.Any t) = Scenarios.of_config config in
+  Campaign.run config t
+
+let test_rejects_ignored_flags () =
+  let d = Scenario.default in
+  List.iter
+    (fun (what, config) ->
+      match campaign config with
+      | _ -> Alcotest.failf "%s: the ignored flag was accepted" what
+      | exception Scenario.Usage _ -> ())
+    [
+      ( "--impl fig3 --power-loss storm --check",
+        { d with power_loss = "storm"; check = true } );
+      ( "--mem net --mem-faults corrupt",
+        { d with mem = "net"; mem_faults = "corrupt" } );
+      ("--impl txn --crash-at 5", { d with impl = "txn"; crash_at = Some 5 });
+    ]
+
+let e17_witness =
+  if Sys.file_exists "schedules/e17-sharded-relaxed.sched" then
+    "schedules/e17-sharded-relaxed.sched"
+  else "../schedules/e17-sharded-relaxed.sched"
+
+(* The campaign's JSON summary as (key, raw value) pairs, in file order. *)
+let summary config =
+  let path = Filename.temp_file "scenario" ".json" in
+  ignore (campaign { config with Scenario.json = Some path });
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  Sys.remove path;
+  List.filter_map
+    (fun line ->
+      match String.split_on_char '"' line with
+      | _ :: key :: rest -> Some (key, String.concat "\"" rest)
+      | _ -> None)
+    lines
+
+let test_resilient_replays () =
+  (* every scenario reads --replay-file: one replayed execution *)
+  summary
+    { Scenario.default with impl = "resilient"; replay_file = Some e17_witness }
+  |> List.assoc "runs"
+  |> Alcotest.(check string) "one replayed execution" ": 1,"
+
+let test_summary_header () =
+  let tiny =
+    {
+      Scenario.default with
+      m = 8;
+      r = 2;
+      updaters = 2;
+      updates = 3;
+      scanners = 1;
+      scans = 2;
+      seeds = 1;
+      check = true;
+    }
+  in
+  let header =
+    [ "impl"; "sched"; "nemesis"; "seed_base"; "runs"; "steps"; "crashes";
+      "restarts"; "violations"; "shrunk_schedule_len" ]
+  in
+  List.iter
+    (fun config ->
+      Alcotest.(check (list string))
+        "common leading keys" header
+        (List.filteri
+           (fun i _ -> i < List.length header)
+           (List.map fst (summary config))))
+    [
+      tiny;
+      { tiny with impl = "resilient" };
+      { tiny with impl = "durable" };
+      { tiny with impl = "txn" };
+      { tiny with mem = "net" };
+      (* the reconfiguration scenario does not read -m and -r *)
+      { tiny with m = Scenario.default.m; r = Scenario.default.r;
+        reconfig = "fenced" };
+    ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -184,6 +270,15 @@ let () =
         ] );
       ( "table",
         [ Alcotest.test_case "print and csv" `Quick test_table_print_and_csv ] );
+      ( "scenario",
+        [
+          Alcotest.test_case "rejects flags the scenario ignores" `Quick
+            test_rejects_ignored_flags;
+          Alcotest.test_case "resilient replays a schedule file" `Quick
+            test_resilient_replays;
+          Alcotest.test_case "every summary has the common header" `Quick
+            test_summary_header;
+        ] );
       ( "experiments",
         [ Alcotest.test_case "tables well-formed" `Slow test_experiment_shape ]
       );

@@ -261,36 +261,23 @@ let test_mem_storm_injects_and_is_bounded () =
 
 (* ---- E15, destructive half: raw Figure 3 breaks under corruption ---- *)
 
+(* bin/simulate.exe's flat scenario over raw Figure 3 *)
+let raw_fig3 =
+  Psnap_harness.Scenarios.flat
+    {
+      Psnap_harness.Scenario.default with
+      m = 6;
+      r = 3;
+      updaters = 2;
+      updates = 5;
+      scanners = 1;
+      scans = 3;
+      check = true;
+    }
+
 let fig3_mem_fault_run ~record_trace ~sched =
-  let module S = Sim_fig3 in
-  let m = 6 in
-  let init = Array.init m (fun i -> -(i + 1)) in
-  Sim.reset_prerun_oids ();
-  let hist = History.create ~now:Sim.mark () in
-  let t = S.create ~n:3 (Array.copy init) in
-  let updater pid () =
-    let h = S.handle t ~pid in
-    for k = 1 to 5 do
-      let i = (k + (pid * 3)) mod m in
-      let v = (pid * 1_000_000) + k in
-      ignore
-        (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-             S.update h i v;
-             Snapshot_spec.Ack))
-    done
-  in
-  let scanner pid () =
-    let h = S.handle t ~pid in
-    let idxs = [| 0; 2; 4 |] in
-    for _ = 1 to 3 do
-      ignore
-        (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-             Snapshot_spec.Vals (S.scan h idxs)))
-    done
-  in
-  let procs = [| updater 0; updater 1; scanner 2 |] in
-  let res = Sim.run ~record_trace ~sched procs in
-  (res, Snapshot_spec.check_observations ~init (History.entries hist))
+  let o = Psnap_harness.Campaign.run_once ~record_trace raw_fig3 ~sched in
+  (o.result, o.violations)
 
 let storm_sched seed =
   Scheduler.mem_storm ~seed ~kinds:[ Event.Corrupt ] ~rate:0.08 ~max_faults:10
@@ -340,6 +327,41 @@ let test_raw_fig3_breaks_and_shrinks () =
           false (raw_fig3_fails without))
       minimal
 
+(* ---- E15: the committed one-decision witness, both directions ----
+
+   Replayed through bin/simulate.exe's flat scenario (default workload,
+   --mem-faults corrupt --check), the program it was shrunk against. *)
+
+let e15_witness =
+  if Sys.file_exists "schedules/e15-fig3-corrupt.sched" then
+    "schedules/e15-fig3-corrupt.sched"
+  else "../schedules/e15-fig3-corrupt.sched"
+
+let e15_replay impl =
+  Metrics.reset_mem_faults ();
+  let scenario =
+    Psnap_harness.Scenarios.flat
+      {
+        Psnap_harness.Scenario.default with
+        impl;
+        mem_faults = "corrupt";
+        check = true;
+      }
+  in
+  (Psnap_harness.Campaign.run_once scenario
+     ~sched:(Psnap_harness.Campaign.replay (Shrink.load e15_witness)))
+    .violations
+
+let test_e15_witness_breaks_raw_fig3 () =
+  check_int "raw fig3 violations on the witness" 8
+    (List.length (e15_replay "fig3"))
+
+let test_e15_witness_clean_on_hardened () =
+  check_int "hardened fig3 stays linearizable" 0
+    (List.length (e15_replay "fig3-hardened"));
+  check_bool "the witness's corrupt decision fired" true
+    (Metrics.total_injected (Metrics.mem_faults ()) > 0)
+
 let () =
   Alcotest.run "mem_faults"
     [
@@ -380,5 +402,9 @@ let () =
         [
           Alcotest.test_case "raw fig3 breaks under corruption and shrinks"
             `Slow test_raw_fig3_breaks_and_shrinks;
+          Alcotest.test_case "e15 witness breaks raw fig3" `Quick
+            test_e15_witness_breaks_raw_fig3;
+          Alcotest.test_case "e15 witness clean on fig3-hardened" `Quick
+            test_e15_witness_clean_on_hardened;
         ] );
     ]

@@ -13,8 +13,9 @@
 open Psnap
 module A = Psnap.Net.Abd
 module T = Psnap.Net.Transport
-module NSnap = Psnap_snapshot.Partial_nonblocking.Make (A.Sim_mem)
 module NM = A.Sim_mem
+module Scenario = Psnap_harness.Scenario
+module Campaign = Psnap_harness.Campaign
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -253,19 +254,8 @@ let test_power_loss_replay_deterministic () =
 
 (* ---- linearizability of pending-op histories under partition storms ---- *)
 
-module Reg_spec = struct
-  type state = int
-  type op = Rwrite of int | Rread
-  type res = Rack | Rval of int
-
-  let apply s = function
-    | Rwrite v -> (v, Rack)
-    | Rread -> (s, Rval s)
-
-  let equal_res (a : res) (b : res) = a = b
-end
-
-module RL = Lin_check.Make (Reg_spec)
+module Reg_spec = Psnap_harness.Scenarios.Reg_spec
+module RL = Psnap_harness.Scenarios.Reg_lin
 
 let test_lincheck_under_partition_storm () =
   (* A partition storm makes some operations give up as [Unavailable]
@@ -334,67 +324,30 @@ let e19_witness =
     "schedules/e19-abd-weak.sched"
   else "../schedules/e19-abd-weak.sched"
 
-(* Mirror of bin/simulate.ml's run_net workload at the witness's
-   parameters: nonblocking snapshot, 3 updaters x 12 updates, 3 scanners
-   x 8 scans, m = 4, r = 4, 3 replicas. *)
+(* bin/simulate.exe's --mem net scenario at the witness's parameters:
+   nonblocking snapshot, 3 updaters x 12 updates, 3 scanners x 8 scans,
+   m = 4, r = 4, 3 replicas. *)
 let replay_witness ~mode =
-  let updaters = 3 and scanners = 3 and updates = 12 and scans = 8 in
-  let m = 4 and r = 4 and replicas = 3 in
-  let n = updaters + scanners in
-  let init = Array.init m (fun i -> -(i + 1)) in
   let decisions = Shrink.load e19_witness in
   check_bool "witness committed and shrunk" true
     (decisions <> [] && List.length decisions <= 600);
-  let sched =
-    Scheduler.replay_decisions ~lenient:true
-      ~fallback:(Scheduler.round_robin ()) decisions
+  let scenario =
+    Psnap_harness.Scenarios.net
+      {
+        Scenario.default with
+        impl = "nonblocking";
+        mem = "net";
+        net_mode = (if mode = A.Weak then "weak" else "abd");
+        updaters = 3;
+        updates = 12;
+        scanners = 3;
+        scans = 8;
+        m = 4;
+        r = 4;
+        check = true;
+      }
   in
-  let hist = History.create ~now:Sim.mark () in
-  Sim.reset_prerun_oids ();
-  let cl = A.cluster ~mode ~clients:n ~replicas () in
-  let t = NSnap.create ~n (Array.copy init) in
-  let attempt f = try f () with Psnap.Net.Unavailable _ -> () in
-  let updater pid () =
-    let h = NSnap.handle t ~pid in
-    for k = 1 to updates do
-      let i = (k + (pid * 7)) mod m in
-      let v = (pid * 1_000_000) + 10_000 + k in
-      attempt (fun () ->
-          ignore
-            (History.record hist ~pid (Snapshot_spec.Update (i, v))
-               (fun () ->
-                 NSnap.update h i v;
-                 Snapshot_spec.Ack)))
-    done
-  in
-  let scanner pid () =
-    let h = NSnap.handle t ~pid in
-    let idxs =
-      Array.init r (fun k -> ((pid - updaters) + (k * (m / max r 1))) mod m)
-      |> Array.to_list |> List.sort_uniq compare |> Array.of_list
-    in
-    for _ = 1 to scans do
-      attempt (fun () ->
-          ignore
-            (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-                 Snapshot_spec.Vals (NSnap.scan h idxs))))
-    done
-  in
-  let procs =
-    Array.init (n + replicas) (fun pid ->
-        if pid < n then
-          A.wrap_client cl ~pid
-            (if pid < updaters then updater pid else scanner pid)
-        else A.replica_body cl ~index:(pid - n))
-  in
-  let recover =
-    Some
-      (fun ~pid ~incarnation:_ ->
-        if pid < n then A.close_client cl ~pid
-        else A.replica_body cl ~index:(pid - n))
-  in
-  let _ = Sim.run ?recover ~sched procs in
-  Snapshot_spec.check_observations ~init (History.entries hist)
+  (Campaign.run_once scenario ~sched:(Campaign.replay decisions)).violations
 
 let test_e19_witness_kills_weak_mode () =
   let viols = replay_witness ~mode:A.Weak in

@@ -16,7 +16,8 @@ module St = Persist.Storage.Sim
 module WIO = Persist.Wal.Make (Persist.Storage.Sim)
 module R = Persist.Recovery.Make (Persist.Storage.Sim)
 module C = Persist.Checkpoint.Make (Persist.Storage.Sim)
-module D = Sim_durable_fig3
+module Scenario = Psnap_harness.Scenario
+module Campaign = Psnap_harness.Campaign
 module M = Psnap_sched.Mem_sim
 
 let () = M.set_strict true
@@ -164,69 +165,25 @@ let test_has_lsn () =
 
 (* ---- the durable snapshot under the simulator ----
 
-   The workload mirrors bin/simulate.ml's run_durable exactly (same index
-   and value formulas, same recovery bodies): the committed E18 witness
-   schedule was shrunk against that program, and replay is only
-   meaningful against the same program. *)
+   The workload is bin/simulate.exe's durable scenario at the committed
+   E18 witness's parameters: the witness was shrunk against that program,
+   and replay is only meaningful against the same program. *)
 
-let m = 4
+let workload =
+  {
+    Scenario.default with
+    impl = "durable";
+    m = 4;
+    r = 4;
+    updaters = 1;
+    updates = 3;
+    scanners = 2;
+    scans = 6;
+  }
 
-let updaters = 1
-
-let updates = 3
-
-let scanners = 2
-
-let scans = 6
-
-let init = Array.init m (fun i -> -(i + 1))
-
-let run_workload ?(config = D.default_config) ~sched () =
-  let n = updaters + scanners in
-  let hist = History.create ~now:Sim.mark () in
-  Sim.reset_prerun_oids ();
-  St.reset ();
-  let cur = ref (D.create_with ~config ~n (Array.copy init)) in
-  let seen_losses = ref 0 in
-  let rebuild_if_power_lost () =
-    let dev = D.storage !cur in
-    let l = St.losses dev in
-    if l > !seen_losses then begin
-      seen_losses := l;
-      cur := D.recover ~config dev ~n init
-    end
-  in
-  let updater ~incarnation pid () =
-    if incarnation > 1 then rebuild_if_power_lost ();
-    let h = D.handle !cur ~pid in
-    if incarnation > 1 then D.resume h;
-    for k = 1 to updates do
-      let i = (k + (pid * 7)) mod m in
-      let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-      ignore
-        (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-             D.update h i v;
-             Snapshot_spec.Ack))
-    done
-  in
-  let scanner ~incarnation pid () =
-    if incarnation > 1 then rebuild_if_power_lost ();
-    let h = D.handle !cur ~pid in
-    let idxs = Array.init m (fun i -> i) in
-    for _ = 1 to scans do
-      ignore
-        (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-             Snapshot_spec.Vals (D.scan h idxs)))
-    done
-  in
-  let body ~incarnation pid =
-    if pid < updaters then updater ~incarnation pid
-    else scanner ~incarnation pid
-  in
-  let procs = Array.init n (fun pid -> body ~incarnation:1 pid) in
-  let recover = Some (fun ~pid ~incarnation -> body ~incarnation pid) in
-  let res = Sim.run ?recover ~sched procs in
-  (res, Snapshot_spec.check_observations ~init (History.entries hist))
+let run_workload ?(config = workload) ~sched () =
+  let o = Campaign.run_once (Psnap_harness.Scenarios.durable config) ~sched in
+  (o.result, o.violations)
 
 let test_mini_power_loss_sweep () =
   Psnap_sched.Metrics.reset_durable ();
@@ -248,7 +205,7 @@ let test_mini_power_loss_sweep () =
 
 let test_storm_with_checkpoints () =
   Psnap_sched.Metrics.reset_durable ();
-  let config = { D.default_config with D.checkpoint_every = 2 } in
+  let config = { workload with checkpoint_every = 2 } in
   for seed = 0 to 19 do
     let sched =
       Scheduler.power_storm ~seed ~rate:0.02 (Scheduler.random ~seed ())
@@ -289,20 +246,16 @@ let replay_witness ~config =
   let decisions = Shrink.load e18_witness in
   check_bool "witness committed and shrunk" true
     (decisions <> [] && List.length decisions <= 80);
-  let sched =
-    Scheduler.replay_decisions ~lenient:true
-      ~fallback:(Scheduler.round_robin ()) decisions
-  in
-  snd (run_workload ~config ~sched ())
+  snd (run_workload ~config ~sched:(Campaign.replay decisions) ())
 
 let test_e18_witness_kills_late_log () =
   let viols =
-    replay_witness ~config:{ D.default_config with D.write_ahead = false }
+    replay_witness ~config:{ workload with wal_mode = "late-log" }
   in
   check_bool "late-log mode loses an observed value" true (viols <> [])
 
 let test_e18_witness_clean_on_write_ahead () =
-  let viols = replay_witness ~config:D.default_config in
+  let viols = replay_witness ~config:workload in
   check_bool "write-ahead mode survives the same blackout" true (viols = [])
 
 let () =

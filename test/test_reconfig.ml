@@ -9,121 +9,41 @@
 open Psnap
 module A = Psnap.Net.Abd
 module R = Psnap.Net.Reconfig
+module Scenario = Psnap_harness.Scenario
+module Campaign = Psnap_harness.Campaign
+module Scenarios = Psnap_harness.Scenarios
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Same register spec as bin/simulate.ml's reconfiguration campaign: an
-   int register with blind writes and reads, checked with Wing-Gong. *)
-module Reg_spec = struct
-  type state = int
-  type op = Rwrite of int | Rread
-  type res = Rack | Rval of int
-
-  let apply s = function
-    | Rwrite v -> (v, Rack)
-    | Rread -> (s, Rval s)
-
-  let equal_res (a : res) (b : res) = a = b
-end
-
-module Reg_lin = Lin_check.Make (Reg_spec)
-
-(* Mirror of bin/simulate.ml's run_reconfig workload: [updaters] writers
-   each bumping their own register with a final read-back (lost-write
-   oracle), [scanners] readers checking per-register monotonicity, the
-   replica pool, and the membership manager as the last pid. *)
+(* bin/simulate.exe's reconfiguration scenario: [updaters] writers each
+   bumping their own register with a final read-back (lost-write oracle),
+   [scanners] readers checking per-register monotonicity, the replica
+   pool, and the membership manager as the last pid; every register's
+   history is also checked for linearizability. *)
 let run_workload ~mode ~updaters ~updates ~scanners ~scans ~replicas ~spares
     ~sched () =
   Metrics.reset_net ();
   Metrics.reset_serving ();
   Metrics.reset_reconfig ();
-  Sim.reset_prerun_oids ();
-  let clients = updaters + scanners in
-  let pool = replicas + spares in
-  let nprocs = clients + pool + 1 in
-  let cl = A.cluster ~clients ~replicas ~spares ~with_manager:true () in
-  let rc = R.attach ~mode cl in
-  let regs =
-    Array.init updaters (fun w ->
-        A.Sim_mem.make ~name:(Printf.sprintf "reconfig.reg.%d" w) 0)
+  let scenario =
+    Scenarios.reconfig
+      {
+        Scenario.default with
+        reconfig = (if mode = R.Naive then "naive" else "fenced");
+        updaters;
+        updates;
+        scanners;
+        scans;
+        replicas;
+        spares;
+        check = true;
+      }
   in
-  let hists = Array.init updaters (fun _ -> History.create ~now:Sim.mark ()) in
-  let last_acked = Array.make updaters 0 in
-  let viols = ref [] in
-  let writer pid () =
-    let halted = ref false in
-    for k = 1 to updates do
-      if not !halted then
-        try
-          ignore
-            (History.record hists.(pid) ~pid (Reg_spec.Rwrite k) (fun () ->
-                 A.Sim_mem.write regs.(pid) k;
-                 Reg_spec.Rack));
-          last_acked.(pid) <- k
-        with Psnap.Net.Unavailable _ -> halted := true
-    done;
-    try
-      match
-        History.record hists.(pid) ~pid Reg_spec.Rread (fun () ->
-            Reg_spec.Rval (A.Sim_mem.read regs.(pid)))
-      with
-      | Reg_spec.Rval v when v < last_acked.(pid) ->
-        viols := Printf.sprintf "writer %d: lost acked write" pid :: !viols
-      | _ -> ()
-    with Psnap.Net.Unavailable _ -> ()
-  in
-  let reader pid () =
-    let lastseen = Array.make updaters 0 in
-    for j = 1 to scans do
-      let w = (pid + j) mod updaters in
-      try
-        match
-          History.record hists.(w) ~pid Reg_spec.Rread (fun () ->
-              Reg_spec.Rval (A.Sim_mem.read regs.(w)))
-        with
-        | Reg_spec.Rval v ->
-          if v < lastseen.(w) then
-            viols :=
-              Printf.sprintf "reader %d: register %d went backwards" pid w
-              :: !viols
-          else lastseen.(w) <- v
-        | _ -> ()
-      with Psnap.Net.Unavailable _ -> ()
-    done
-  in
-  let procs =
-    Array.init nprocs (fun pid ->
-        if pid < updaters then A.wrap_client cl ~pid (writer pid)
-        else if pid < clients then A.wrap_client cl ~pid (reader pid)
-        else if pid < clients + pool then
-          A.replica_body cl ~index:(pid - clients)
-        else R.manager_body rc)
-  in
-  let recover =
-    Some
-      (fun ~pid ~incarnation:_ ->
-        if pid < clients then A.close_client cl ~pid
-        else if pid < clients + pool then
-          A.replica_body cl ~index:(pid - clients)
-        else R.manager_body rc)
-  in
-  let _ = Sim.run ?recover ~sched procs in
-  R.detach rc;
-  Array.iteri
-    (fun w h ->
-      match Reg_lin.check ~init:0 (History.entries h) with
-      | true -> ()
-      | false ->
-        viols :=
-          Printf.sprintf "register %d: history not linearizable" w :: !viols
-      | exception Reg_lin.Too_long _ -> ())
-    hists;
-  let max_epoch = ref 0 in
-  for pid = 0 to clients - 1 do
-    max_epoch := max !max_epoch (A.client_epoch cl ~pid)
-  done;
-  (List.rev !viols, R.reconfig_count rc, !max_epoch)
+  let o = Campaign.run_once scenario ~sched in
+  ( o.violations,
+    (Metrics.reconfig ()).Metrics.reconfigs,
+    Campaign.counter scenario "max_epoch" )
 
 let member_pids ~clients ~replicas = List.init replicas (fun i -> clients + i)
 
@@ -219,13 +139,9 @@ let replay_witness ~mode =
   let decisions = Shrink.load e21_witness in
   check_bool "witness committed and shrunk" true
     (decisions <> [] && List.length decisions <= 600);
-  let sched =
-    Scheduler.replay_decisions ~lenient:true
-      ~fallback:(Scheduler.round_robin ()) decisions
-  in
   let viols, _, _ =
     run_workload ~mode ~updaters:1 ~updates:20 ~scanners:2 ~scans:3
-      ~replicas:3 ~spares:2 ~sched ()
+      ~replicas:3 ~spares:2 ~sched:(Campaign.replay decisions) ()
   in
   viols
 

@@ -298,84 +298,33 @@ let test_tags_unique_across_handles () =
 (* ---- chaos campaign: Atomic is always linearizable, budgets hold ---- *)
 
 let chaos_campaign ~seeds ~stick =
-  let m = 16 and updaters = 3 and scanners = 2 in
-  let n = updaters + scanners in
-  let init = Array.init m (fun i -> -(i + 1)) in
+  (* bin/simulate.exe's resilient scenario: its campaign fails on any
+     non-linearizable Atomic scan and on any scan over its 6-round budget,
+     and, with a stuck epoch, unless a rebuilt shard is scanned again *)
+  let config =
+    {
+      Psnap_harness.Scenario.default with
+      impl = "resilient";
+      m = 16;
+      r = 5;
+      updates = 12;
+      scans = 5;
+      seeds;
+      nemesis = "chaos";
+      stick_epoch = (if stick then Some 1 else None);
+    }
+  in
   reset ();
-  let atomic_total = ref 0 in
-  let degraded_total = ref 0 in
-  for seed = 0 to seeds - 1 do
-    Sim.reset_prerun_oids ();
-    Mem.Hardened.reset_stats ();
-    let hist = History.create ~now:Sim.mark () in
-    let atomic_entries = ref [] in
-    let t = RS.create ~n (Array.copy init) in
-    let updater ~incarnation pid () =
-      let h = RS.handle t ~pid in
-      for k = 1 to 12 do
-        let i = (k + (pid * 5)) mod m in
-        let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-        ignore
-          (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-               RS.update h i v;
-               Snapshot_spec.Ack))
-      done
-    in
-    let scanner pid () =
-      let h = RS.handle t ~pid in
-      let idxs = [| 0; 3; 6; 9; 12 |] in
-      for _ = 1 to 5 do
-        let inv = Sim.mark () in
-        let out = RS.scan_outcome h idxs in
-        let resp = Sim.mark () in
-        if RS.last_scan_rounds h > 6 then
-          Alcotest.failf "seed %d: scan overran its 6-round budget" seed;
-        match out with
-        | RS.Atomic vs ->
-          incr atomic_total;
-          atomic_entries :=
-            {
-              History.pid;
-              op = Snapshot_spec.Scan idxs;
-              res = Some (Snapshot_spec.Vals vs);
-              inv;
-              resp = Some resp;
-            }
-            :: !atomic_entries
-        | RS.Degraded _ -> incr degraded_total
-      done
-    in
-    let body ~incarnation pid =
-      if pid < updaters then updater ~incarnation pid else scanner pid
-    in
-    let sched =
-      let w = Scheduler.chaos ~seed ~inner:(Scheduler.random ~seed ()) () in
-      if stick then
-        Scheduler.mem_fault_on_cell ~kind:Event.Stuck_cell
-          ~name_prefix:"rshard1.epoch" w
-      else w
-    in
-    ignore
-      (Sim.run
-         ~recover:(fun ~pid ~incarnation -> body ~incarnation pid)
-         ~sched
-         (Array.init n (fun pid -> body ~incarnation:1 pid)));
-    match
-      Snapshot_spec.check_observations ~init
-        (History.entries hist @ !atomic_entries)
-    with
-    | [] -> ()
-    | v :: _ ->
-      Alcotest.failf "seed %d: %a" seed Snapshot_spec.pp_violation v
-  done;
-  check_bool "campaign produced atomic scans" true (!atomic_total > 0);
-  (!atomic_total, !degraded_total)
+  let scenario = Psnap_harness.Scenarios.resilient config in
+  check_int "Atomic scans linearizable, budgets hold" 0
+    (Psnap_harness.Campaign.run config scenario);
+  check_bool "campaign produced atomic scans" true
+    (Psnap_harness.Campaign.counter scenario "atomic_scans" > 0)
 
-let test_chaos_linearizable () =
-  ignore (chaos_campaign ~seeds:12 ~stick:false)
+let test_chaos_linearizable () = chaos_campaign ~seeds:12 ~stick:false
 
 let test_chaos_with_stuck_epochs () =
-  let _, _ = chaos_campaign ~seeds:12 ~stick:true in
+  chaos_campaign ~seeds:12 ~stick:true;
   let sv = Metrics.serving () in
   check_bool "stuck epochs seen" true (sv.Metrics.stuck_epochs >= 1);
   check_bool "at least one rebuild completed across the campaign" true

@@ -10,6 +10,8 @@ open Psnap
 module Hist = Psnap.Runtime.Histogram
 module Loadgen = Psnap.Runtime.Loadgen
 module M = Psnap_sched.Mem_sim
+module Scenario = Psnap_harness.Scenario
+module Campaign = Psnap_harness.Campaign
 
 let () = M.set_strict true
 
@@ -348,102 +350,55 @@ let test_sharded_exact_lincheck () =
 (* ---- sharded snapshot: chaos-nemesis campaign (observation checker) ---- *)
 
 let test_sharded_linearizable_under_chaos () =
-  let m = 8 and n = 3 in
-  let init = Array.init m (fun i -> -(i + 1)) in
+  (* bin/simulate.exe's flat scenario over four validated shards; each
+     scan spans three of them *)
+  let scenario =
+    Psnap_harness.Scenarios.flat
+      {
+        Scenario.default with
+        impl = "sharded";
+        m = 8;
+        r = 3;
+        updaters = 2;
+        updates = 6;
+        scanners = 1;
+        scans = 4;
+        check = true;
+      }
+  in
   let restarts = ref 0 in
   for seed = 0 to 24 do
-    let hist = History.create ~now:Sim.mark () in
-    Sim.reset_prerun_oids ();
-    let t = Sim_sharded_fig3.create ~n (Array.copy init) in
-    let updater ~incarnation pid () =
-      let h = Sim_sharded_fig3.handle t ~pid in
-      for k = 1 to 6 do
-        let i = (k + (pid * 3)) mod m in
-        let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-        ignore
-          (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-               Sim_sharded_fig3.update h i v;
-               Snapshot_spec.Ack))
-      done
-    in
-    let scanner pid () =
-      let h = Sim_sharded_fig3.handle t ~pid in
-      (* spans three of the four shards *)
-      let idxs = [| 0; 2; 5 |] in
-      for _ = 1 to 4 do
-        ignore
-          (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-               Snapshot_spec.Vals (Sim_sharded_fig3.scan h idxs)))
-      done
-    in
-    let body ~incarnation pid =
-      if pid < n - 1 then updater ~incarnation pid else scanner pid
-    in
-    let recover ~pid ~incarnation = body ~incarnation pid in
-    let res =
-      Sim.run ~recover
+    let o =
+      Campaign.run_once scenario
         ~sched:(Scheduler.chaos ~seed ~rate:0.08 ~max_restart_delay:12 ())
-        (Array.init n (body ~incarnation:1))
     in
     restarts :=
-      !restarts + Array.fold_left (fun a i -> a + (i - 1)) 0 res.incarnations;
-    let viols = Snapshot_spec.check_observations ~init (History.entries hist) in
-    if viols <> [] then
+      !restarts
+      + Array.fold_left (fun a i -> a + (i - 1)) 0 o.result.incarnations;
+    if o.violations <> [] then
       Alcotest.failf "seed %d: %a" seed
         Fmt.(list ~sep:comma Snapshot_spec.pp_violation)
-        (List.filteri (fun i _ -> i < 3) viols)
+        (List.filteri (fun i _ -> i < 3) o.violations)
   done;
   check_bool "campaign injected restarts" true (!restarts > 0)
 
 (* ---- relaxed mode really is weaker: drive it to a violation ---- *)
 
-module Sim_sharded_relaxed =
-  Psnap_runtime.Sharded.Make (Mem.Sim) (Sim_fig3)
-    (struct
-      let shards = 3
-      let partition = `Round_robin
-      let mode = `Relaxed
-    end)
-
 let test_relaxed_mode_violates () =
-  let m = 32 in
-  let init = Array.init m (fun i -> -(i + 1)) in
-  let violations = ref 0 in
-  for seed = 0 to 4 do
-    let hist = History.create ~now:Sim.mark () in
-    Sim.reset_prerun_oids ();
-    let t = Sim_sharded_relaxed.create ~n:5 (Array.copy init) in
-    let updater pid () =
-      let h = Sim_sharded_relaxed.handle t ~pid in
-      for k = 1 to 30 do
-        let i = (k + (pid * 7)) mod m in
-        let v = (pid * 1_000_000) + k in
-        ignore
-          (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-               Sim_sharded_relaxed.update h i v;
-               Snapshot_spec.Ack))
-      done
-    in
-    let scanner pid () =
-      let h = Sim_sharded_relaxed.handle t ~pid in
-      let idxs = [| 0; 1; 2; 9; 10; 17; 25; 30 |] in
-      for _ = 1 to 8 do
-        ignore
-          (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-               Snapshot_spec.Vals (Sim_sharded_relaxed.scan h idxs)))
-      done
-    in
-    ignore
-      (Sim.run
-         ~sched:(Scheduler.random ~seed ())
-         [| updater 0; updater 1; updater 2; scanner 3; scanner 4 |]);
-    violations :=
-      !violations
-      + List.length
-          (Snapshot_spec.check_observations ~init (History.entries hist))
-  done;
-  check_bool "relaxed cross-shard scans are observably non-atomic" true
-    (!violations > 0)
+  (* five seeded random runs of the simulate.exe relaxed campaign *)
+  let config =
+    {
+      Scenario.default with
+      impl = "sharded-relaxed";
+      shards = 3;
+      m = 32;
+      seeds = 5;
+      check = true;
+      expect_violations = true;
+    }
+  in
+  check_int "relaxed cross-shard scans are observably non-atomic" 0
+    (Campaign.run config (Psnap_harness.Scenarios.flat config))
 
 (* ---- E17: the committed ddmin-shrunk witness still reproduces ---- *)
 
@@ -455,50 +410,25 @@ let e17_witness =
     "schedules/e17-sharded-relaxed.sched"
   else "../schedules/e17-sharded-relaxed.sched"
 
-let test_e17_witness_replays () =
-  let m = 32 and r = 8 and updaters = 3 in
-  let init = Array.init m (fun i -> -(i + 1)) in
+(* the simulate.exe scenario the witness was shrunk against — replay is
+   only meaningful against the same program *)
+let e17_replay impl =
   let decisions = Shrink.load e17_witness in
   check_bool "witness committed and shrunk" true
     (decisions <> [] && List.length decisions <= 60);
-  let hist = History.create ~now:Sim.mark () in
-  Sim.reset_prerun_oids ();
-  let t = Sim_sharded_relaxed.create ~n:5 (Array.copy init) in
-  (* exactly the simulate.exe workload the witness was shrunk against
-     (bin/simulate.ml run_flat, incarnation 1) — replay is only meaningful
-     against the same program *)
-  let updater pid () =
-    let h = Sim_sharded_relaxed.handle t ~pid in
-    for k = 1 to 30 do
-      let i = (k + (pid * 7)) mod m in
-      let v = (pid * 1_000_000) + 10_000 + k in
-      ignore
-        (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-             Sim_sharded_relaxed.update h i v;
-             Snapshot_spec.Ack))
-    done
+  let scenario =
+    Psnap_harness.Scenarios.flat
+      { Scenario.default with impl; shards = 3; m = 32; check = true }
   in
-  let scanner pid () =
-    let h = Sim_sharded_relaxed.handle t ~pid in
-    let idxs =
-      Array.init r (fun k -> ((pid - updaters) + (k * (m / r))) mod m)
-      |> Array.to_list |> List.sort_uniq compare |> Array.of_list
-    in
-    for _ = 1 to 8 do
-      ignore
-        (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-             Snapshot_spec.Vals (Sim_sharded_relaxed.scan h idxs)))
-    done
-  in
-  ignore
-    (Sim.run
-       ~sched:
-         (Scheduler.replay_decisions ~lenient:true
-            ~fallback:(Scheduler.round_robin ()) decisions)
-       [| updater 0; updater 1; updater 2; scanner 3; scanner 4 |]);
-  let viols = Snapshot_spec.check_observations ~init (History.entries hist) in
+  (Campaign.run_once scenario ~sched:(Campaign.replay decisions)).violations
+
+let test_e17_witness_replays () =
   check_bool "shrunk witness still drives a relaxed violation" true
-    (viols <> [])
+    (e17_replay "sharded-relaxed" <> [])
+
+let test_e17_witness_clean_on_validated () =
+  check_bool "validated scans survive the same schedule" true
+    (e17_replay "sharded" = [])
 
 (* ---- loadgen smoke on real domains ---- *)
 
@@ -580,6 +510,8 @@ let () =
             test_sharded_linearizable_under_chaos;
           Alcotest.test_case "e17 witness replays to a violation" `Quick
             test_e17_witness_replays;
+          Alcotest.test_case "e17 witness clean on validated sharded" `Quick
+            test_e17_witness_clean_on_validated;
           Alcotest.test_case "relaxed mode violates" `Quick
             test_relaxed_mode_violates;
         ] );

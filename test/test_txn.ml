@@ -184,72 +184,28 @@ let test_oracle_bad_timestamps () =
 
 (* ---- chaos campaigns in the simulator ---- *)
 
-module ST = Sim_txn_fig3
-
-(* Mirror of bin/simulate.ml's run_txn workload: updaters run
-   read-modify-write transactions on overlapping components, scanners run
-   read-only transactions over a declared window; every txn begun is
-   harvested after the run, resume observations fill in crashed
-   commits. *)
+(* bin/simulate.exe's txn scenario: updaters run read-modify-write
+   transactions on overlapping components, scanners run read-only
+   transactions over a declared window; every txn begun is harvested
+   after the run, resume observations fill in crashed commits. *)
 let txn_workload ?(mode = Txn.Fcw) ~m ~r ~updaters ~updates ~scanners ~scans
     ~sched () =
-  let n = updaters + scanners in
-  let init = Array.init m (fun i -> -(i + 1)) in
-  Sim.reset_prerun_oids ();
-  let t = ST.create ~mode ~n (Array.copy init) in
-  let txns = ref [] in
-  let resumed = ref [] in
-  let recover_pid h =
-    match ST.resume h with
-    | Some o -> resumed := o :: !resumed
-    | None -> ()
+  let scenario =
+    Psnap_harness.Scenarios.txn
+      {
+        Psnap_harness.Scenario.default with
+        impl = "txn";
+        txn_mode = Txn.mode_to_string mode;
+        m;
+        r;
+        updaters;
+        updates;
+        scanners;
+        scans;
+      }
   in
-  let updater ~incarnation pid () =
-    let h = ST.handle t ~pid in
-    if incarnation > 1 then recover_pid h;
-    for k = 1 to updates do
-      let i = (k + (pid * 7)) mod m in
-      let v = (pid * 1_000_000) + (incarnation * 10_000) + k in
-      let x = ST.begin_ h in
-      txns := x :: !txns;
-      ignore (ST.read x i);
-      ST.write x i v;
-      ignore (ST.commit x)
-    done
-  in
-  let scanner ~incarnation pid () =
-    let h = ST.handle t ~pid in
-    if incarnation > 1 then recover_pid h;
-    let idxs =
-      Array.init r (fun k -> ((pid - updaters) + (k * (m / max r 1))) mod m)
-      |> Array.to_list |> List.sort_uniq compare |> Array.of_list
-    in
-    for _ = 1 to scans do
-      let x = ST.begin_ h in
-      txns := x :: !txns;
-      ignore (ST.read_many x idxs);
-      ignore (ST.commit x)
-    done
-  in
-  let body ~incarnation pid =
-    if pid < updaters then updater ~incarnation pid
-    else scanner ~incarnation pid
-  in
-  let procs = Array.init n (fun pid -> body ~incarnation:1 pid) in
-  let recover = Some (fun ~pid ~incarnation -> body ~incarnation pid) in
-  let res = Sim.run ?recover ~sched procs in
-  let observations =
-    let seen = Hashtbl.create 64 in
-    List.filter
-      (fun (o : int Si_check.obs) ->
-        if Hashtbl.mem seen o.Si_check.txid then false
-        else begin
-          Hashtbl.add seen o.Si_check.txid ();
-          true
-        end)
-      (List.filter_map ST.observation !txns @ !resumed)
-  in
-  (res, Si_check.check ~init observations)
+  let o = Psnap_harness.Campaign.run_once scenario ~sched in
+  (o.result, o.violations)
 
 let test_fcw_chaos_si_clean () =
   (* crash–restart chaos over 20 seeds: every execution must pass the SI
@@ -316,13 +272,9 @@ let replay_witness ~mode =
   let decisions = Shrink.load e20_witness in
   check_bool "witness committed and shrunk" true
     (List.length decisions <= 40);
-  let sched =
-    Scheduler.replay_decisions ~lenient:true
-      ~fallback:(Scheduler.round_robin ()) decisions
-  in
   let _, viols =
     txn_workload ~mode ~m:4 ~r:2 ~updaters:2 ~updates:3 ~scanners:1 ~scans:2
-      ~sched ()
+      ~sched:(Psnap_harness.Campaign.replay decisions) ()
   in
   viols
 
