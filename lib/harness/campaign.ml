@@ -41,12 +41,8 @@ type 'v outcome = {
 }
 
 let run_once ?(record_trace = false) t ~sched =
-  (* Cells must be registered as fault targets before the workload is
-     built (tracking also keeps the per-cell history Stale_read draws on);
-     replayed schedules may carry fault decisions even with --mem-faults
-     off.  Prerun oids restart so they are a pure function of the
-     workload: fault schedules target cells by oid. *)
-  if List.mem "mem-faults" t.reads then Mem.Sim.set_fault_tracking true;
+  (* Prerun oids restart so they are a pure function of the workload:
+     fault schedules target cells by oid. *)
   Sim.reset_prerun_oids ();
   let recorder = Metrics.create () in
   let x = t.build recorder in
@@ -119,7 +115,7 @@ let shrink c t schedule =
     Some (List.length minimal)
   end
 
-let run c t =
+let campaign c t =
   (* values and combinations no scenario accepts, rejected before any run *)
   let base = choose "--sched" (base_scheds c) c.sched in
   let nemesis = choose "--nemesis" nemesis_table c.nemesis in
@@ -136,6 +132,8 @@ let run c t =
   let runs = ref 0 and steps = ref 0 and crashes = ref 0 in
   let restarts = ref 0 and violations = ref 0 in
   let samples = ref [] and failing = ref None in
+  let replaying = c.replay_file <> None && not c.shrink in
+  let absorb = (not replaying) && (t.absorbs_crashes || kinds <> None) in
   let execute label sched =
     incr runs;
     match run_once ~record_trace:c.shrink t ~sched with
@@ -154,7 +152,7 @@ let run c t =
           failing := Some (Trace.schedule res.trace)
       end;
       Some res
-    | exception e ->
+    | exception e when absorb ->
       (* A corrupted value can crash the harness outright (out-of-range
          index, never-written payload): a failure of the implementation,
          not of the campaign loop.  The trace died with the run, so only
@@ -163,7 +161,6 @@ let run c t =
       Printf.printf "%s: harness crash: %s\n" label (Printexc.to_string e);
       None
   in
-  let replaying = c.replay_file <> None && not c.shrink in
   (match c.replay_file with
   | Some path when replaying ->
     let decisions = Shrink.load path in
@@ -259,3 +256,15 @@ let run c t =
     end
   in
   if t.accept ~replaying && checker_ok then 0 else 1
+
+let run c t =
+  (* Cells must be registered as fault targets before a workload is built
+     (tracking also keeps the per-cell history Stale_read draws on);
+     replayed schedules may carry fault decisions even with --mem-faults
+     off.  Tracking is process-global, so it is put back afterwards. *)
+  let was = Mem.Sim.fault_tracking () in
+  let on = was || List.mem "mem-faults" t.reads in
+  if on <> was then Mem.Sim.set_fault_tracking on;
+  Fun.protect
+    ~finally:(fun () -> if on <> was then Mem.Sim.set_fault_tracking was)
+    (fun () -> campaign c t)

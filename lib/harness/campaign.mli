@@ -18,7 +18,9 @@ type 'v outcome = {
   samples : Metrics.sample list;
 }
 
-(** One execution under [sched]. *)
+(** One execution under [sched].  A schedule with memory-fault decisions
+    needs [Mem.Sim.set_fault_tracking true] beforehand; {!run} turns it on
+    for the campaigns that read [--mem-faults]. *)
 val run_once :
   ?record_trace:bool -> 'v Scenario.t -> sched:Scheduler.t -> 'v outcome
 
@@ -31,7 +33,10 @@ val counter : 'v Scenario.t -> string -> int
 
 (** [run config t] runs the seeded executions (or the replayed schedule),
     shrinks the first failing one when asked, prints the report, writes
-    the JSON summary and returns the exit status.  Raises
+    the JSON summary and returns the exit status.  An exception out of a
+    seeded run counts as a violation when [t.absorbs_crashes] or a
+    memory-fault storm is on; otherwise, and always on replay, it
+    propagates.  Raises
     {!Scenario.Usage} on an unknown scheduler, nemesis or fault kind, on
     [r > m], and on [--expect-violations] without an oracle. *)
 val run : Scenario.config -> 'v Scenario.t -> int

@@ -167,6 +167,10 @@ type 'v t = {
   verdict : string;  (** what a clean campaign is, e.g. "linearizable" *)
   unsound : string option;
       (** why the configured mode is expected to fail its oracle *)
+  absorbs_crashes : bool;
+      (** whether an exception out of a seeded run counts as a violation
+          and the campaign goes on; otherwise only under a memory-fault
+          storm, and a replay always re-raises *)
   pp_violation : 'v Fmt.t;
   build : Metrics.recorder -> 'v execution;
   nemesis : seed:int -> Scheduler.t -> Scheduler.t;
@@ -182,9 +186,11 @@ type 'v t = {
 }
 
 (** A scenario with no extra layers, no sweep, no counters, an always-on
-    oracle and a linearizability verdict unless overridden. *)
+    oracle, a linearizability verdict and harness crashes that end the
+    campaign unless overridden. *)
 let make ~name ~reads ?(checked = true)
-    ?(verdict = "linearizable (observation check)") ?unsound ~pp_violation
+    ?(verdict = "linearizable (observation check)") ?unsound
+    ?(absorbs_crashes = false) ~pp_violation
     ?(nemesis = fun ~seed:_ w -> w) ?(sweep = fun _ -> [])
     ?(counters = fun () -> [])
     ?(accept = fun ~replaying:_ -> true) build =
@@ -194,6 +200,7 @@ let make ~name ~reads ?(checked = true)
     checked;
     verdict;
     unsound;
+    absorbs_crashes;
     pp_violation;
     build;
     nemesis;

@@ -341,7 +341,7 @@ let durable c =
     ~reads:
       ([ "impl"; "m"; "r"; "power-loss"; "checkpoint-every"; "wal-mode" ]
       @ mem_flags)
-    ~verdict:"durably linearizable (observation check)"
+    ~verdict:"durably linearizable (observation check)" ~absorbs_crashes:true
     ?unsound:
       (if write_ahead then None
        else Some "late-log mode acknowledges before the barrier")
@@ -437,7 +437,7 @@ let txn c =
   let n = c.updaters + c.scanners in
   make ~name:T.name
     ~reads:([ "impl"; "m"; "r"; "txn-mode" ] @ mem_flags)
-    ~verdict:"snapshot-isolated (SI observation check)"
+    ~verdict:"snapshot-isolated (SI observation check)" ~absorbs_crashes:true
     ?unsound:
       (if mode = Txn.Lww then
          Some "last-writer-wins skips first-committer-wins validation"
@@ -585,7 +585,7 @@ let net c =
   let faults = (ref 0, ref 0) and unavailable = ref 0 and worst = ref 0 in
   make ~name:S.name
     ~reads:([ "impl"; "mem"; "m"; "r"; "net-mode"; "power-loss" ] @ net_flags)
-    ~checked:c.check
+    ~checked:c.check ~absorbs_crashes:true
     ?unsound:
       (if mode = A.Weak then Some "weak reads skip the write-back" else None)
     ~pp_violation:Snapshot_spec.pp_violation
@@ -739,6 +739,7 @@ let reconfig c =
   make
     ~name:("abd-reconfig/" ^ c.reconfig)
     ~reads:([ "spares"; "reconfig-nemesis"; "replica-death" ] @ net_flags)
+    ~absorbs_crashes:true
     ~verdict:
       ("safe across reconfiguration (lost-write + monotonicity"
       ^ (if c.check then " + per-register linearizability" else "")

@@ -252,6 +252,31 @@ let test_summary_header () =
         reconfig = "fenced" };
     ]
 
+(* A harness exception is a violation only where the scenario absorbs
+   crashes (or under a memory-fault storm); elsewhere it must not pass
+   for the violation --expect-violations asks for. *)
+let test_crash_rule () =
+  let crashing ~absorbs_crashes =
+    Scenario.make ~name:"crashing" ~reads:[] ~absorbs_crashes
+      ~pp_violation:Fmt.string (fun _ ->
+        {
+          Scenario.procs = [| (fun () -> failwith "harness bug") |];
+          recover = (fun ~pid:_ ~incarnation:_ () -> ());
+          check = (fun () -> []);
+        })
+  in
+  let config = { Scenario.default with seeds = 2; expect_violations = true } in
+  Alcotest.check_raises "propagates" (Failure "harness bug") (fun () ->
+      ignore (Campaign.run config (crashing ~absorbs_crashes:false)));
+  check_int "absorbed: counted as the expected violations" 0
+    (Campaign.run config (crashing ~absorbs_crashes:true));
+  Alcotest.check_raises "a replay always propagates" (Failure "harness bug")
+    (fun () ->
+      ignore
+        (Campaign.run
+           { config with replay_file = Some e17_witness }
+           (crashing ~absorbs_crashes:true)))
+
 let () =
   Alcotest.run "harness"
     [
@@ -278,6 +303,7 @@ let () =
             test_resilient_replays;
           Alcotest.test_case "every summary has the common header" `Quick
             test_summary_header;
+          Alcotest.test_case "harness crashes" `Quick test_crash_rule;
         ] );
       ( "experiments",
         [ Alcotest.test_case "tables well-formed" `Slow test_experiment_shape ]

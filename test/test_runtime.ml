@@ -351,13 +351,13 @@ let test_sharded_exact_lincheck () =
 
 let test_sharded_linearizable_under_chaos () =
   (* bin/simulate.exe's flat scenario over four validated shards; each
-     scan spans three of them *)
+     scan reads the window [0; 3; 6], which spans three of them *)
   let scenario =
     Psnap_harness.Scenarios.flat
       {
         Scenario.default with
         impl = "sharded";
-        m = 8;
+        m = 9;
         r = 3;
         updaters = 2;
         updates = 6;
@@ -385,20 +385,25 @@ let test_sharded_linearizable_under_chaos () =
 (* ---- relaxed mode really is weaker: drive it to a violation ---- *)
 
 let test_relaxed_mode_violates () =
-  (* five seeded random runs of the simulate.exe relaxed campaign *)
-  let config =
-    {
-      Scenario.default with
-      impl = "sharded-relaxed";
-      shards = 3;
-      m = 32;
-      seeds = 5;
-      check = true;
-      expect_violations = true;
-    }
+  (* five seeded random runs of the simulate.exe relaxed campaign; only
+     checker violations count *)
+  let scenario =
+    Psnap_harness.Scenarios.flat
+      {
+        Scenario.default with
+        impl = "sharded-relaxed";
+        shards = 3;
+        m = 32;
+        check = true;
+      }
   in
-  check_int "relaxed cross-shard scans are observably non-atomic" 0
-    (Campaign.run config (Psnap_harness.Scenarios.flat config))
+  let violations = ref 0 in
+  for seed = 0 to 4 do
+    let o = Campaign.run_once scenario ~sched:(Scheduler.random ~seed ()) in
+    violations := !violations + List.length o.violations
+  done;
+  check_bool "relaxed cross-shard scans are observably non-atomic" true
+    (!violations > 0)
 
 (* ---- E17: the committed ddmin-shrunk witness still reproduces ---- *)
 
