@@ -26,7 +26,8 @@ lint:
 # reported at its source line.  On an int, an int-typed comparison is one
 # instruction; the polymorphic one is a C call.
 POLYCMP_LIBS := lib/snapshot/psnap_snapshot lib/activeset/psnap_activeset \
-  lib/runtime/psnap_runtime lib/mem/psnap_mem lib/interval/psnap_interval
+  lib/runtime/psnap_runtime lib/mem/psnap_mem lib/interval/psnap_interval \
+  lib/persist/psnap_persist lib/txn/psnap_txn
 polycmp:
 	rm -rf _polycmp
 	dune build --profile polycmp --build-dir _polycmp \

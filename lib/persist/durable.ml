@@ -12,7 +12,7 @@
    resurrecting overwritten values.  The protocol therefore serializes
    commits through a single {e commit lock} holding the published intent:
 
-     acquire (CAS Free{lsn} -> Held{pid; lsn; i; v})
+     marshal v -> acquire (CAS Free{lsn} -> Held{pid; lsn; i; v})
        -> append Update{lsn} -> sync -> Inner.update i v -> release
 
    Log order = apply order by construction, and — because nothing reaches
@@ -75,7 +75,8 @@ struct
     inner : 'a Inner.t;
     dev : St.t;
     lock : 'a lock_state M.ref_;
-    m : int;
+    all : int array;  (* every component index, in order: the
+                         checkpoint's scan; never mutated *)
     cfg : config;
     mutable commits_since_ckpt : int;  (* guarded by the commit lock *)
     mutable gen : int;  (* guarded by the commit lock *)
@@ -95,7 +96,7 @@ struct
       inner = Inner.create ~n init;
       dev;
       lock = make_lock 1;
-      m = Array.length init;
+      all = Array.init (Array.length init) Fun.id;
       cfg = config;
       commits_since_ckpt = 0;
       gen = 0;
@@ -114,7 +115,7 @@ struct
       inner = Inner.create ~n st.Recovery.values;
       dev;
       lock = make_lock st.Recovery.next_lsn;
-      m = Array.length init;
+      all = Array.init (Array.length init) Fun.id;
       cfg = config;
       commits_since_ckpt = 0;
       gen = st.Recovery.checkpoint_gen;
@@ -151,7 +152,7 @@ struct
   let do_checkpoint h ~next_lsn =
     let t = h.t in
     t.gen <- t.gen + 1;
-    let values = Inner.scan h.h (Array.init t.m (fun i -> i)) in
+    let values = Inner.scan h.h t.all in
     C.write t.dev ~gen:t.gen ~next_lsn
       ~payload:(Marshal.to_string values []);
     t.commits_since_ckpt <- 0
@@ -162,13 +163,13 @@ struct
        && t.commits_since_ckpt >= t.cfg.checkpoint_every
     then do_checkpoint h ~next_lsn
 
-  (* Finish a commit whose intent is published in the lock.  [resumed]
-     marks an intent inherited from a crashed incarnation of this pid. *)
-  let complete h ~lsn ~index ~value ~resumed =
+  (* Finish a commit whose intent is published in the lock.  [payload]
+     is [value] marshalled, which the caller did before acquiring: it
+     depends on the value alone, not on the lsn.  [resumed] marks an
+     intent inherited from a crashed incarnation of this pid. *)
+  let complete h ~lsn ~index ~value ~payload ~resumed =
     let t = h.t in
-    let record =
-      Wal.Update { lsn; pid = h.pid; index; payload = Marshal.to_string value [] }
-    in
+    let record = Wal.Update { lsn; pid = h.pid; index; payload } in
     if t.cfg.write_ahead then begin
       if resumed then append_durably_resumed t record ~lsn
       else append_durably t record;
@@ -189,28 +190,40 @@ struct
     maybe_checkpoint h ~next_lsn:(lsn + 1);
     M.write t.lock (Free (lsn + 1))
 
+  (* An intent inherited from a crashed incarnation carries its value, not
+     its payload: marshal it here. *)
+  let complete_inherited h ~lsn ~index ~value =
+    complete h ~lsn ~index ~value ~payload:(Marshal.to_string value [])
+      ~resumed:true
+
   (* Blocking acquire: spin one lock read per iteration (the honest cost
      of a log latch — scans never pay it).  A Held/Sealing state owned by
      this pid must be a dead incarnation's: operations of one handle are
      sequential, so a live incarnation can never meet its own lock. *)
-  let rec update h index value =
+  let rec acquire h index value payload =
     let t = h.t in
     let cur = M.read t.lock in
     match cur with
     | Free lsn ->
       let intent = Held { pid = h.pid; lsn; index; value } in
       if M.cas t.lock ~expected:cur ~desired:intent then
-        complete h ~lsn ~index ~value ~resumed:false
-      else update h index value
+        complete h ~lsn ~index ~value ~payload ~resumed:false
+      else acquire h index value payload
     | Held { pid; lsn; index = i0; value = v0 } when pid = h.pid ->
-      complete h ~lsn ~index:i0 ~value:v0 ~resumed:true;
-      update h index value
+      complete_inherited h ~lsn ~index:i0 ~value:v0;
+      acquire h index value payload
     | Sealing { pid; next_lsn } when pid = h.pid ->
       (* A checkpoint died with its incarnation: the incomplete triple is
          invisible to recovery, so just release. *)
       M.write t.lock (Free next_lsn);
-      update h index value
-    | Held _ | Sealing _ -> update h index value
+      acquire h index value payload
+    | Held _ | Sealing _ -> acquire h index value payload
+
+  (* The payload is marshalled once, before the first lock read: no
+     simulated step moves, and under contention the commit lock covers
+     only the lsn draw, framing, append, sync, [Inner.update] and the
+     release. *)
+  let update h index value = acquire h index value (Marshal.to_string value [])
 
   (* Completes this pid's published intent, if any.  Recovery bodies call
      it before resuming work after a plain crash–restart (after a power
@@ -218,7 +231,7 @@ struct
   let resume h =
     match M.read h.t.lock with
     | Held { pid; lsn; index; value } when pid = h.pid ->
-      complete h ~lsn ~index ~value ~resumed:true
+      complete_inherited h ~lsn ~index ~value
     | Sealing { pid; next_lsn } when pid = h.pid ->
       M.write h.t.lock (Free next_lsn)
     | Free _ | Held _ | Sealing _ -> ()
@@ -238,7 +251,7 @@ struct
       end
       else checkpoint_now h
     | Held { pid; lsn; index; value } when pid = h.pid ->
-      complete h ~lsn ~index ~value ~resumed:true;
+      complete_inherited h ~lsn ~index ~value;
       checkpoint_now h
     | Sealing { pid; next_lsn } when pid = h.pid ->
       M.write t.lock (Free next_lsn);

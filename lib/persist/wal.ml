@@ -32,28 +32,55 @@ type decoded = {
   damage : damage;
 }
 
-(* FNV-1a, 32-bit. *)
+(* FNV-1a, 32-bit, as a plain loop: no closure, and [h] stays in a
+   register. *)
 let checksum s =
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0xFFFFFFFF
+  done;
   !h
 
 let header_len = 18
 
+(* The header's hex codec, shared by [encode] and [decode_all]: exactly 8
+   lowercase hex digits per field, the bytes [Printf "%08x"] writes for a
+   value below 2^32. *)
+let hex_digits = "0123456789abcdef"
+
+let put_hex8 b off x =
+  for k = 0 to 7 do
+    Bytes.unsafe_set b (off + k) hex_digits.[(x lsr (28 - (4 * k))) land 0xf]
+  done
+
+(* The value of the 8 digits at [off], or -1 unless every one of them is
+   in [0-9a-f].  Reads in place: no substring, no parse, no closure. *)
+let get_hex8 s off =
+  let v = ref 0 in
+  for i = off to off + 7 do
+    let d =
+      match s.[i] with
+      | '0' .. '9' as c -> Char.code c - 48
+      | 'a' .. 'f' as c -> Char.code c - 87
+      | _ -> -1
+    in
+    v := if d < 0 || !v < 0 then -1 else (!v lsl 4) lor d
+  done;
+  !v
+
+(* One allocation for the frame: the header is written digit by digit in
+   front of the body, byte-identical to [sprintf "%08x %08x %s"]. *)
 let encode r =
   let body = Marshal.to_string r [] in
-  Printf.sprintf "%08x %08x %s" (String.length body) (checksum body) body
-
-let hex8 s off =
-  let ok = ref true in
-  for i = off to off + 7 do
-    match s.[i] with
-    | '0' .. '9' | 'a' .. 'f' -> ()
-    | _ -> ok := false
-  done;
-  if !ok then int_of_string_opt ("0x" ^ String.sub s off 8) else None
+  let len = String.length body in
+  if len > 0xFFFFFFFF then invalid_arg "Wal.encode: body over 4 GiB";
+  let b = Bytes.create (header_len + len) in
+  put_hex8 b 0 len;
+  Bytes.unsafe_set b 8 ' ';
+  put_hex8 b 9 (checksum body);
+  Bytes.unsafe_set b 17 ' ';
+  Bytes.unsafe_blit_string body 0 b header_len len;
+  Bytes.unsafe_to_string b
 
 let decode_all s =
   let n = String.length s in
@@ -62,15 +89,15 @@ let decode_all s =
     if off = n then stop Clean
     else if off + header_len > n then stop Torn
     else
-      match (hex8 s off, hex8 s (off + 9), s.[off + 8], s.[off + 17]) with
-      | Some len, Some crc, ' ', ' ' ->
-        if off + header_len + len > n then stop Torn
+      let len = get_hex8 s off and crc = get_hex8 s (off + 9) in
+      if len < 0 || crc < 0 || s.[off + 8] <> ' ' || s.[off + 17] <> ' ' then
+        stop Corrupt
+      else if off + header_len + len > n then stop Torn
+      else
+        let body = String.sub s (off + header_len) len in
+        if checksum body <> crc then stop Corrupt
         else
-          let body = String.sub s (off + header_len) len in
-          if checksum body <> crc then stop Corrupt
-          else
-            go (off + header_len + len) ((Marshal.from_string body 0 : record) :: acc)
-      | _ -> stop Corrupt
+          go (off + header_len + len) ((Marshal.from_string body 0 : record) :: acc)
   in
   go 0 []
 

@@ -4,15 +4,23 @@
 
 (* Scans are short (the paper's r), so insertion sort: already-sorted
    input — every window scan that does not wrap — costs r - 1
-   comparisons and no moves.  Long inputs fall back to the library
-   heap sort, which stays O(r log r). *)
+   comparisons and no moves.  Long inputs are checked for order in one
+   pass first (a durable checkpoint's all-components scan is sorted) and
+   fall back to the library heap sort only when out of order, so they
+   stay O(r log r) at worst. *)
 let insertion_limit = 32
+
+(* is [a] non-decreasing from index [k - 1] on? *)
+let rec sorted_from (a : int array) k =
+  k >= Array.length a || (a.(k - 1) <= a.(k) && sorted_from a (k + 1))
 
 let[@psnap.local_state
      "sorts a private copy in place; nothing is shared until returned"] sort
     (a : int array) =
   let n = Array.length a in
-  if n > insertion_limit then Array.sort Int.compare a
+  if n > insertion_limit then begin
+    if not (sorted_from a 1) then Array.sort Int.compare a
+  end
   else
     for k = 1 to n - 1 do
       let x = a.(k) in

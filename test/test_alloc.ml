@@ -9,7 +9,12 @@
    the scan path dropped its list/tuple/closure churn:
      fig3 scan, r = 16                           742.0 -> 183.0
      fig3 update                                  89.0 ->  79.0
-     resilient 8-range scan, one shard, r = 16  1177.9 -> 262.9 *)
+     resilient 8-range scan, one shard, r = 16  1177.9 -> 262.9
+
+   and before/after the durable commit path dropped its Printf framing and
+   per-call closures (Durable.Make (Mem.Atomic) (Mc_fig3) (Storage.Mc),
+   no checkpoints; the fig3 update's own 79 words included):
+     durable update                              239.1 -> 113.0 *)
 
 open Psnap
 
@@ -52,6 +57,16 @@ let test_fig3_update () =
   let h = Mc_fig3.handle t ~pid:0 in
   gate "fig3 update" ~budget:90. (fun k -> Mc_fig3.update h (k land (m - 1)) k)
 
+let test_durable_update () =
+  let module D = Mc_durable_fig3 in
+  let t =
+    D.create_with
+      ~config:{ D.checkpoint_every = 0; write_ahead = true }
+      ~n:1 (Array.init m Fun.id)
+  in
+  let h = D.handle t ~pid:0 in
+  gate "durable update" ~budget:125. (fun k -> D.update h (k land (m - 1)) k)
+
 module Res =
   Runtime.Resilient.Make (Mem.Atomic) (Mc_fig3) (Mc_fig3)
     (struct
@@ -82,6 +97,7 @@ let () =
         [
           Alcotest.test_case "fig3 scan" `Quick test_fig3_scan;
           Alcotest.test_case "fig3 update" `Quick test_fig3_update;
+          Alcotest.test_case "durable update" `Quick test_durable_update;
           Alcotest.test_case "resilient scan" `Quick test_resilient_scan;
         ] );
     ]

@@ -51,6 +51,82 @@ let test_roundtrip () =
     (List.length d.Wal.records);
   check_int "good_bytes = full log" (String.length log) d.Wal.good_bytes
 
+(* The on-device frame is fixed: [encode] must produce exactly the bytes
+   of the reference framing below, so logs written before and after a
+   change to the encoder decode alike, the committed E18 witness replays
+   against the same log, and [Storage.Sim]'s torn fragment (half the
+   unsynced bytes) cuts at the same offsets. *)
+let reference_frame r =
+  let body = Marshal.to_string r [] in
+  Printf.sprintf "%08x %08x %s" (String.length body) (Wal.checksum body) body
+
+let check_frame r =
+  let frame = Wal.encode r in
+  Alcotest.(check string) "encode = sprintf framing" (reference_frame r) frame;
+  let d = Wal.decode_all frame in
+  check_bool "decodes clean" true (d.Wal.damage = Wal.Clean);
+  check_bool "decode_all (encode r) = [r]" true (d.Wal.records = [ r ])
+
+let test_frame_compat () =
+  List.iter
+    (fun (s, h) -> check_int (Printf.sprintf "fnv1a32 %S" s) h (Wal.checksum s))
+    [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ];
+  (* every kind, payload lengths across the hex digit boundaries *)
+  for k = 0 to 5000 do
+    let payload = String.init k (fun i -> Char.chr (((i * 7) + k) land 255)) in
+    List.iter check_frame
+      [
+        Wal.Update { lsn = k; pid = k mod 5; index = k * 3; payload };
+        Wal.Scan_seal { gen = k; payload };
+        Wal.Checkpoint_begin { gen = k; next_lsn = k * 1_000_003 };
+        Wal.Checkpoint_end { gen = k };
+      ]
+  done;
+  check_frame
+    (Wal.Scan_seal
+       { gen = 1; payload = String.init 65536 (fun i -> Char.chr (i land 255)) });
+  (* a checksum with leading zero digits: the first lsn whose frame sums
+     below 0x00100000 *)
+  let rec low_sum lsn =
+    let r = upd ~lsn ~index:0 lsn in
+    if Wal.checksum (Marshal.to_string r []) < 0x00100000 then r
+    else low_sum (lsn + 1)
+  in
+  let r = low_sum 1 in
+  check_frame r;
+  check_bool "header has a leading-zero checksum" true
+    (String.sub (Wal.encode r) 9 3 = "000")
+
+(* The header is read digit by digit: only lowercase [0-9a-f], spaces at
+   offsets 8 and 17.  An uppercase digit of the same value is corrupt,
+   even though its checksum would match. *)
+let test_header_acceptance () =
+  let rec lettered lsn =
+    let f = Wal.encode (upd ~lsn ~index:1 lsn) in
+    match String.index_from_opt f 9 'a' with
+    | Some i when i < 17 -> (f, i)
+    | _ -> lettered (lsn + 1)
+  in
+  let frame, i = lettered 1 in
+  let with_byte j c =
+    let b = Bytes.of_string frame in
+    Bytes.set b j c;
+    Wal.decode_all (Bytes.to_string b)
+  in
+  check_bool "lowercase original is clean" true
+    ((Wal.decode_all frame).Wal.damage = Wal.Clean);
+  check_bool "uppercase digit is corrupt" true
+    ((with_byte i 'A').Wal.damage = Wal.Corrupt);
+  check_bool "non-hex digit is corrupt" true
+    ((with_byte 3 'g').Wal.damage = Wal.Corrupt);
+  check_bool "no space at 8 is corrupt" true
+    ((with_byte 8 '0').Wal.damage = Wal.Corrupt);
+  check_bool "no space at 17 is corrupt" true
+    ((with_byte 17 '0').Wal.damage = Wal.Corrupt);
+  let d = Wal.decode_all (String.sub frame 0 (Wal.header_len - 1)) in
+  check_bool "short header is torn" true (d.Wal.damage = Wal.Torn);
+  check_int "nothing good in a short header" 0 d.Wal.good_bytes
+
 let test_empty_log () =
   let d = Wal.decode_all "" in
   check_bool "clean" true (d.Wal.damage = Wal.Clean);
@@ -264,6 +340,10 @@ let () =
       ( "wal",
         [
           Alcotest.test_case "roundtrip" `Quick test_roundtrip;
+          Alcotest.test_case "frame = sprintf reference" `Quick
+            test_frame_compat;
+          Alcotest.test_case "header acceptance" `Quick
+            test_header_acceptance;
           Alcotest.test_case "empty log" `Quick test_empty_log;
           Alcotest.test_case "torn tail" `Quick test_torn_tail;
           Alcotest.test_case "corrupt mid-log" `Quick test_corrupt_mid_log;

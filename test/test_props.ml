@@ -185,8 +185,17 @@ let values_belong_prop =
       ignore (Sim.run ~sched:(scheduler_of w) procs);
       !ok)
 
-(* the scans' shared sort-and-dedup: small value ranges force duplicates,
-   lengths straddle the insertion-sort cutoff *)
+(* the scans' shared sort-and-dedup: the distinct elements in order, the
+   input untouched and never aliased by the result *)
+let sort_uniq_ok a =
+  let before = Array.copy a in
+  let got = Snapshot.Idxs.sort_uniq a in
+  got = Array.of_list (List.sort_uniq compare (Array.to_list a))
+  && a = before
+  && (Array.length a = 0 || got != a)
+
+(* small value ranges force duplicates, lengths straddle the
+   insertion-sort cutoff *)
 let sort_uniq_prop =
   QCheck2.Test.make ~name:"Idxs.sort_uniq = List.sort_uniq compare"
     ~count:500
@@ -194,12 +203,44 @@ let sort_uniq_prop =
     QCheck2.Gen.(
       let* range = int_range 1 100 in
       array_size (int_range 0 80) (int_range (-range) range))
-    (fun a ->
-      let before = Array.copy a in
-      let got = Snapshot.Idxs.sort_uniq a in
-      got = Array.of_list (List.sort_uniq compare (Array.to_list a))
-      && a = before
-      && (Array.length a = 0 || got != a))
+    sort_uniq_ok
+
+(* Long, mostly-ordered inputs, where the sort takes its one-pass
+   already-sorted path or falls back to the library sort: a durable
+   checkpoint's all-components scan, and the near misses around it. *)
+let sort_uniq_long_prop =
+  let open QCheck2.Gen in
+  let ascending ~step n =
+    let* x0 = int_range (-1000) 1000 in
+    let+ steps = array_size (return (n - 1)) step in
+    let a = Array.make n x0 in
+    Array.iteri (fun k d -> a.(k + 1) <- a.(k) + d) steps;
+    a
+  in
+  let shape =
+    let* n = int_range 33 2048 in
+    oneof
+      [
+        (* strictly increasing *)
+        ascending ~step:(int_range 1 3) n;
+        (* non-decreasing, with duplicates *)
+        ascending ~step:(int_range 0 2) n;
+        (* reverse-sorted *)
+        map
+          (fun a ->
+            let n = Array.length a in
+            Array.init n (fun k -> a.(n - 1 - k)))
+          (ascending ~step:(int_range 0 2) n);
+        (* sorted except the last element *)
+        (let* a = ascending ~step:(int_range 0 2) n in
+         let+ last = int_range (-2000) (a.(n - 2) - 1) in
+         let a = Array.copy a in
+         a.(n - 1) <- last;
+         a);
+      ]
+  in
+  QCheck2.Test.make ~name:"Idxs.sort_uniq on long, ordered-ish arrays"
+    ~count:400 ~print:QCheck2.Print.(array int) shape sort_uniq_ok
 
 let snapshot_impls : (string * (module SNAP)) list =
   [
@@ -240,5 +281,9 @@ let () =
           aset_impls );
       ( "values",
         [ QCheck_alcotest.to_alcotest values_belong_prop ] );
-      ("indices", [ QCheck_alcotest.to_alcotest sort_uniq_prop ]);
+      ( "indices",
+        [
+          QCheck_alcotest.to_alcotest sort_uniq_prop;
+          QCheck_alcotest.to_alcotest sort_uniq_long_prop;
+        ] );
     ]
