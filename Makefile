@@ -27,7 +27,7 @@ lint:
 # instruction; the polymorphic one is a C call.
 POLYCMP_LIBS := lib/snapshot/psnap_snapshot lib/activeset/psnap_activeset \
   lib/runtime/psnap_runtime lib/mem/psnap_mem lib/interval/psnap_interval \
-  lib/persist/psnap_persist lib/txn/psnap_txn
+  lib/persist/psnap_persist lib/txn/psnap_txn lib/sched/psnap_sched
 polycmp:
 	rm -rf _polycmp
 	dune build --profile polycmp --build-dir _polycmp \

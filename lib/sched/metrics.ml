@@ -66,7 +66,8 @@ let point_contention all s =
     List.concat_map
       (fun o -> if overlaps s o then [ (o.inv, 1); (o.resp, -1) ] else [])
       all
-    |> List.sort compare
+    |> List.sort (fun (t1, d1) (t2, d2) ->
+           match Int.compare t1 t2 with 0 -> Int.compare d1 d2 | c -> c)
   in
   let cur = ref 0 and best = ref 0 in
   List.iter

@@ -353,286 +353,226 @@ let bursty ~seed ?(mean_burst = 8) () =
   in
   { name = "bursty"; pick = or_stop pick }
 
-(* ---- nemesis combinators: fault injection over an inner policy ---- *)
+(* ---- the nemesis algebra: trigger × target × follow-up ---- *)
 
-(** [with_crash ~pid ~at_clock inner] crashes [pid] the first time the clock
-    reaches [at_clock] while [pid] is runnable.  The pid stays down for the
-    rest of the run (halting failure). *)
-let with_crash ~pid ~at_clock inner =
-  let done_ = ref false in
-  let pick v =
-    if (not !done_) && v.clock >= at_clock && is_runnable v pid then (
-      done_ := true;
-      Crash pid)
-    else inner.pick v
-  in
-  { name = inner.name ^ "+crash"; pick }
+(* Every nemesis is a spec over one driver, [nemesis]: at each decision
+   point it issues the next follow-up it owes, else asks its trigger for a
+   batch of follow-ups (the fault now, its consequences later), else lets
+   the inner policy schedule.  Follow-ups go out one per consultation, so
+   each fault is one decision that replays and shrinks on its own. *)
 
-(** One deterministic crash–restart cycle: crash [pid] once the clock
-    reaches [crash_at], then restart it [restart_after] clock ticks after
-    the crash (a {e delayed} restart — the pid stays down while others make
-    progress, as a rebooting server would). *)
-let with_crash_restart ~pid ~crash_at ~restart_after inner =
-  let state = ref `Armed in
+type follow_up = After of int * decision | Reboot
+
+type trigger = view -> follow_up list
+
+let later ticks = function
+  | [] -> []
+  | d :: ds -> After (ticks, d) :: List.map (fun d -> After (0, d)) ds
+
+let now ds = later 0 ds
+
+(* A crash also waits for its victim to be runnable and a restart for its
+   pid to be restartable; a restart is due at once when nothing is
+   runnable, since the clock is then frozen and waiting would livelock. *)
+let ready v ~at = function
+  | Crash p -> v.clock >= at && is_runnable v p
+  | Restart p ->
+    is_restartable v p && (v.clock >= at || Array.length v.runnable = 0)
+  | _ -> v.clock >= at
+
+let nemesis name trigger inner =
+  let queue = ref [] and last = ref 0 in
   let pick v =
-    match !state with
-    | `Armed when v.clock >= crash_at && is_runnable v pid ->
-      state := `Down v.clock;
-      Crash pid
-    | `Down c when v.clock >= c + restart_after && is_restartable v pid ->
-      state := `Done;
-      Restart pid
-    | `Down _
-      when Array.length v.runnable = 0 && is_restartable v pid ->
-      (* Everything is down, so the clock can never reach the scheduled
-         restart time: reboot now rather than livelock. *)
-      state := `Done;
-      Restart pid
+    (match !queue with [] -> queue := trigger v | _ :: _ -> ());
+    match !queue with
+    | Reboot :: rest when Array.length v.crashed = 0 ->
+      queue := rest;
+      inner.pick v
+    | Reboot :: _ -> Restart v.crashed.(0)
+    | After (ticks, d) :: rest when ready v ~at:(!last + ticks) d ->
+      queue := rest;
+      last := v.clock;
+      d
     | _ -> inner.pick v
   in
-  { name = inner.name ^ "+crash-restart"; pick }
+  { name; pick }
 
-(** Seeded crash storm: at every decision point, with probability [rate],
-    crash a uniformly chosen runnable process (at most [max_crashes] kills
-    per run), restarting each victim [restart_after] clock ticks later.
-    Restarts are issued deterministically in [view.crashed] order.  The
-    last runnable process is never crashed, so the run keeps making
-    progress. *)
+let once trigger =
+  let fired = ref false in
+  fun v ->
+    if !fired then []
+    else
+      match trigger v with
+      | [] -> []
+      | batch ->
+        fired := true;
+        batch
+
+let once_at clock trigger =
+  once (fun v -> if v.clock < clock then [] else trigger v)
+
+(* Seeded rate under a max-count: while fewer than [max] batches have
+   fired and [guard v] holds, draw from [st]; with probability [p] ask
+   [batch], which draws its targets from [st] after the rate draw.  [None]
+   (nothing to wound) does not count. *)
+let seeded st ~p ~max guard batch =
+  let fired = ref 0 in
+  fun v ->
+    if !fired < max && guard v && Random.State.float st 1.0 < p then (
+      match batch v with
+      | None -> []
+      | Some b ->
+        incr fired;
+        b)
+    else []
+
+let salted seed salt = Random.State.make [| seed; salt |]
+
+let any st a = a.(Random.State.int st (Array.length a))
+
+let any_of st l = List.nth l (Random.State.int st (List.length l))
+
+let runnable_gt k v = Array.length v.runnable > k
+
+let suspended_at v p op =
+  match v.op_of p with Some o -> o = op | None -> false
+
+(* ---- crash nemeses (docs/MODEL.md §8) ---- *)
+
+let with_crash ~pid ~at_clock inner =
+  nemesis (inner.name ^ "+crash")
+    (once_at at_clock (fun v ->
+         if is_runnable v pid then now [ Crash pid ] else []))
+    inner
+
+let with_crash_restart ~pid ~crash_at ~restart_after inner =
+  nemesis (inner.name ^ "+crash-restart")
+    (once_at crash_at (fun v ->
+         if is_runnable v pid then
+           now [ Crash pid ] @ later restart_after [ Restart pid ]
+         else []))
+    inner
+
+(* The storms' restart table (pid -> clock its restart falls due) answers
+   before their trigger: it restarts the first crashed pid, in view order,
+   that is due.  Every pid is due once nothing is runnable, and a pid the
+   table never scheduled (crashed by another nemesis) is adopted: due at
+   once. *)
+let storm name st ~rate ~max ~victim ~due inner =
+  let table = Hashtbl.create 4 in
+  let restart_due v p =
+    Array.length v.runnable = 0
+    || match Hashtbl.find_opt table p with Some c -> v.clock >= c | None -> true
+  in
+  let kill =
+    seeded st ~p:rate ~max (runnable_gt 1) (fun v ->
+        let p = victim v in
+        Hashtbl.replace table p (due v);
+        Some (now [ Crash p ]))
+  in
+  nemesis name
+    (fun v ->
+      match Array.find_opt (restart_due v) v.crashed with
+      | Some p ->
+        Hashtbl.remove table p;
+        now [ Restart p ]
+      | None -> kill v)
+    inner
+
 let crash_storm ~seed ?(rate = 0.02) ?(max_crashes = 4) ?(restart_after = 25)
     inner =
-  let st = Random.State.make [| seed; 0x5702 |] in
-  let kills = ref 0 in
-  (* pid -> clock of its crash; a crashed pid absent from the table (crashed
-     by someone else, e.g. a composed nemesis) is due immediately. *)
-  let down : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let pick v =
-    (* When nothing is runnable the clock is frozen, so every pending
-       restart is due now. *)
-    let stalled = Array.length v.runnable = 0 in
-    let due =
-      Array.to_list v.crashed
-      |> List.filter (fun p ->
-             stalled
-             ||
-             match Hashtbl.find_opt down p with
-             | Some c -> v.clock >= c + restart_after
-             | None -> true)
-    in
-    match due with
-    | p :: _ ->
-      Hashtbl.remove down p;
-      Restart p
-    | [] ->
-      if
-        !kills < max_crashes
-        && Array.length v.runnable > 1
-        && Random.State.float st 1.0 < rate
-      then begin
-        let p = v.runnable.(Random.State.int st (Array.length v.runnable)) in
-        incr kills;
-        Hashtbl.replace down p v.clock;
-        Crash p
-      end
-      else inner.pick v
-  in
-  { name = Printf.sprintf "storm(%d)+%s" seed inner.name; pick }
+  let st = salted seed 0x5702 in
+  storm
+    (Printf.sprintf "storm(%d)+%s" seed inner.name)
+    st ~rate ~max:max_crashes
+    ~victim:(fun v -> any st v.runnable)
+    ~due:(fun v -> v.clock + restart_after)
+    inner
 
-(** Targeted fault: crash [pid] the [nth] time it is suspended at a shared
-    access of kind [op] — e.g. [~op:Event.Cas] kills an updater {e between
-    its read and its CAS}, the classic lost-update window.  With
-    [?restart_after] the victim is respawned that many clock ticks later;
-    without it the crash is permanent. *)
-let crash_on_op ~pid ~op ?(nth = 1) ?restart_after inner =
-  let seen = ref 0 in
-  let last_counted = ref (-1) in
-  let state = ref `Armed in
-  let pick v =
-    match !state with
-    | `Done -> inner.pick v
-    | `Down c -> (
-      match restart_after with
-      | Some d
-        when is_restartable v pid
-             && (v.clock >= c + d || Array.length v.runnable = 0) ->
-        state := `Done;
-        Restart pid
-      | _ -> inner.pick v)
-    | `Armed ->
-      if is_runnable v pid && v.op_of pid = Some op then begin
-        (* Count each distinct suspension once, not each consultation: the
-           victim's executed-step count changes exactly when it moves to a
-           new pending access. *)
-        let steps = v.steps_of pid in
-        if steps <> !last_counted then begin
-          last_counted := steps;
-          incr seen
-        end;
-        if !seen >= nth then begin
-          state := `Down v.clock;
-          Crash pid
-        end
-        else inner.pick v
-      end
-      else inner.pick v
-  in
-  { name = inner.name ^ "+crash-on-op"; pick }
-
-(** The seeded chaos nemesis: composes the storm (random kills, delayed
-    randomized restarts) with targeted kills — when a victim is chosen and
-    some runnable process has a CAS pending, that process is preferred with
-    probability 1/2, maximizing pressure on the read-to-CAS windows.  All
-    randomness derives from [seed]; the whole schedule replays exactly.
-    Defaults to a seeded {!random} walk between faults. *)
 let chaos ~seed ?(rate = 0.04) ?(max_crashes = 6) ?(max_restart_delay = 30)
     ?inner () =
   let inner =
     match inner with Some s -> s | None -> random ~seed:(seed lxor 0x9e3779) ()
   in
-  let st = Random.State.make [| seed; 0xC4A05 |] in
-  let kills = ref 0 in
-  let due : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let pick v =
-    let stalled = Array.length v.runnable = 0 in
-    let ready =
-      Array.to_list v.crashed
-      |> List.filter (fun p ->
-             stalled
-             ||
-             match Hashtbl.find_opt due p with
-             | Some c -> v.clock >= c
-             | None -> true)
-    in
-    match ready with
-    | p :: _ ->
-      Hashtbl.remove due p;
-      Restart p
-    | [] ->
-      if
-        !kills < max_crashes
-        && Array.length v.runnable > 1
-        && Random.State.float st 1.0 < rate
-      then begin
-        let cas_pending =
-          Array.to_list v.runnable
-          |> List.filter (fun p -> v.op_of p = Some Event.Cas)
-        in
-        let victim =
-          match cas_pending with
-          | p :: _ when Random.State.bool st -> p
-          | _ -> v.runnable.(Random.State.int st (Array.length v.runnable))
-        in
-        incr kills;
-        Hashtbl.replace due victim
-          (v.clock + 1 + Random.State.int st (max 1 max_restart_delay));
-        Crash victim
-      end
-      else inner.pick v
-  in
-  { name = Printf.sprintf "chaos(%d)" seed; pick }
+  let st = salted seed 0xC4A05 in
+  storm
+    (Printf.sprintf "chaos(%d)" seed)
+    st ~rate ~max:max_crashes
+    ~victim:(fun v ->
+      match Array.find_opt (fun p -> suspended_at v p Event.Cas) v.runnable with
+      | Some p when Random.State.bool st -> p
+      | _ -> any st v.runnable)
+    ~due:(fun v ->
+      v.clock + 1 + Random.State.int st (max 1 max_restart_delay))
+    inner
 
 (* ---- memory-fault nemeses (docs/MODEL.md §9) ---- *)
 
-(** Seeded memory-fault storm: at every decision point, with probability
-    [rate], inject a fault of a uniformly chosen kind from [kinds] into the
-    cell some runnable process is suspended at (at most [max_faults] per
-    run).  Targeting pending-access cells rather than random oids puts
-    every fault on a cell the algorithms are actively contending on.  All
-    randomness derives from [seed]; the schedule replays exactly. *)
 let mem_storm ~seed ?(kinds = Event.all_fault_kinds) ?(rate = 0.02)
     ?(max_faults = 8) inner =
   if kinds = [] then invalid_arg "Scheduler.mem_storm: empty kind list";
-  let st = Random.State.make [| seed; 0xFA17 |] in
-  let injected = ref 0 in
-  let pick v =
-    if
-      !injected < max_faults
-      && Array.length v.runnable > 0
-      && Random.State.float st 1.0 < rate
-    then begin
-      let p = v.runnable.(Random.State.int st (Array.length v.runnable)) in
-      match v.oid_of p with
-      | Some oid ->
-        let kind = List.nth kinds (Random.State.int st (List.length kinds)) in
-        incr injected;
-        Mem_fault { kind; oid }
-      | None -> inner.pick v
-    end
-    else inner.pick v
-  in
-  { name = Printf.sprintf "mem-storm(%d)+%s" seed inner.name; pick }
+  let st = salted seed 0xFA17 in
+  nemesis
+    (Printf.sprintf "mem-storm(%d)+%s" seed inner.name)
+    (seeded st ~p:rate ~max:max_faults (runnable_gt 0) (fun v ->
+         match v.oid_of (any st v.runnable) with
+         | Some oid -> Some (now [ Mem_fault { kind = any_of st kinds; oid } ])
+         | None -> None))
+    inner
 
-(** Targeted memory fault by cell {e name}: once the clock reaches
-    [at_clock], inject a fault of [kind] into the first cell some runnable
-    process is suspended at whose name starts with [name_prefix].  One
-    shot.  This is how a campaign deterministically wounds a named
-    structure — e.g. [~kind:Event.Stuck_cell ~name_prefix:"rshard1.epoch"]
-    sticks shard 1's epoch source, the trigger for the resilient layer's
-    self-healing path — without knowing cell oids (which depend on
-    allocation order). *)
 let mem_fault_on_cell ~kind ~name_prefix ?(at_clock = 0) inner =
-  let done_ = ref false in
-  let pick v =
-    if !done_ || v.clock < at_clock then inner.pick v
-    else begin
-      let target =
-        Array.fold_left
-          (fun acc p ->
-            match acc with
-            | Some _ -> acc
-            | None -> (
-              match (v.name_of p, v.oid_of p) with
-              | Some n, Some oid
-                when String.starts_with ~prefix:name_prefix n ->
-                Some oid
-              | _ -> None))
-          None v.runnable
-      in
-      match target with
-      | Some oid ->
-        done_ := true;
-        Mem_fault { kind; oid }
-      | None -> inner.pick v
-    end
+  let target v p =
+    match (v.name_of p, v.oid_of p) with
+    | Some n, Some oid when String.starts_with ~prefix:name_prefix n ->
+      Some (Mem_fault { kind; oid })
+    | _ -> None
   in
-  { name = inner.name ^ "+fault-on-cell"; pick }
+  nemesis (inner.name ^ "+fault-on-cell")
+    (once_at at_clock (fun v ->
+         now (Option.to_list (Array.find_map (target v) v.runnable))))
+    inner
 
-(* ---- latency-fault nemeses ---- *)
+(* The nth-suspension trigger counts each distinct suspension of [pid] at
+   [op] once, not each consultation: the pid's step count moves exactly
+   when it reaches a new pending access. *)
+let corrupt_on_op ~pid ~op ?(nth = 1) inner =
+  let seen = ref 0 and counted = ref (-1) in
+  nemesis (inner.name ^ "+corrupt-on-op")
+    (once (fun v ->
+         if not (is_runnable v pid && suspended_at v pid op) then []
+         else (
+           if v.steps_of pid <> !counted then (
+             counted := v.steps_of pid;
+             incr seen);
+           match v.oid_of pid with
+           | Some oid when !seen >= nth ->
+             now [ Mem_fault { kind = Event.Corrupt; oid } ]
+           | _ -> [])))
+    inner
 
-(** [stall_cells ~matches ~from_clock ~until_clock inner] refuses, inside
-    the clock window, to schedule any process whose pending access targets
-    a cell whose name satisfies [matches]: the access stays pending, the
-    process is {e stalled} without being crashed (its local state
-    survives).  When every runnable process is stalled the window is
-    punched through — one stalled process runs — so the run never
-    livelocks; outside the window, and for non-matching processes, [inner]
-    decides.  The deterministic detour choice derives from the clock. *)
+(* ---- latency-fault nemeses (docs/MODEL.md §11) ---- *)
+
+(* A detour replaces an elected pid the nemesis holds back with the
+   [k]-th (cyclically) of [others], or keeps it when there is none. *)
+let detour p k others =
+  match others with [] -> p | _ -> List.nth others (k mod List.length others)
+
 let stall_cells ~matches ~from_clock ~until_clock inner =
   let stalled v p =
     match v.name_of p with Some n -> matches n | None -> false
   in
   let pick v =
-    if v.clock < from_clock || v.clock >= until_clock then inner.pick v
-    else
+    match inner.pick v with
+    | Run p when v.clock >= from_clock && v.clock < until_clock && stalled v p
+      ->
       let free =
-        Array.to_list v.runnable |> List.filter (fun p -> not (stalled v p))
+        Array.to_list v.runnable |> List.filter (fun q -> not (stalled v q))
       in
-      match free with
-      | [] -> inner.pick v
-      | _ -> (
-        match inner.pick v with
-        | Run p when stalled v p ->
-          Run (List.nth free (v.clock mod List.length free))
-        | d -> d)
+      Run (detour p v.clock free)
+    | d -> d
   in
   { name = inner.name ^ "+stall-cells"; pick }
 
-(** [stall_shard ~shard] — {!stall_cells} matching the spine cells of
-    shard [shard] in both serving-layer constructions: ["shard<k>."]
-    ([Psnap_runtime.Sharded]'s epoch source) and ["rshard<k>."]
-    ([Psnap_runtime.Resilient]'s pointer / epoch / inflight cells).  Every
-    update routed to the shard and every sub-scan of it must cross one of
-    these cells, so the whole shard stalls; scans of other shards keep
-    running — exactly the partial-outage a circuit breaker must contain. *)
 let stall_shard ~shard ~from_clock ~until_clock inner =
   let p1 = Printf.sprintf "shard%d." shard in
   let p2 = Printf.sprintf "rshard%d." shard in
@@ -641,200 +581,43 @@ let stall_shard ~shard ~from_clock ~until_clock inner =
       String.starts_with ~prefix:p1 n || String.starts_with ~prefix:p2 n)
     ~from_clock ~until_clock inner
 
-(** [slow_domain ~pid ~period inner] rate-limits [pid]: whenever [inner]
-    elects it outside its every-[period]-th decision slot, a different
-    runnable process is run instead (chosen deterministically from the
-    decision counter).  Models a uniformly slow client — a thermally
-    throttled core, a VM on an oversubscribed host — as opposed to
-    {!starve}'s probabilistic victim.  [pid] still runs when it is the
-    only runnable process. *)
 let slow_domain ~pid ?(period = 8) inner =
   if period < 1 then invalid_arg "Scheduler.slow_domain: period < 1";
   let tick = ref 0 in
   let pick v =
     incr tick;
     match inner.pick v with
-    | Run p when p = pid && !tick mod period <> 0 -> (
-      let others =
-        Array.to_list v.runnable |> List.filter (fun q -> q <> pid)
-      in
-      match others with
-      | [] -> Run p
-      | _ -> Run (List.nth others (!tick mod List.length others)))
+    | Run p when p = pid && !tick mod period <> 0 ->
+      let others = Array.to_list v.runnable |> List.filter (fun q -> q <> pid) in
+      Run (detour p !tick others)
     | d -> d
   in
   { name = inner.name ^ "+slow-domain"; pick }
 
-(** Targeted memory fault: corrupt the cell [pid] is about to access the
-    [nth] time it is suspended at an access of kind [op] — with
-    [~op:Event.Cas] this garbles the very cell a process is about to CAS,
-    inside its read-to-CAS window, the sharpest corruption an adversary can
-    aim.  One shot; delegates to [inner] otherwise. *)
-let corrupt_on_op ~pid ~op ?(nth = 1) inner =
-  let seen = ref 0 in
-  let last_counted = ref (-1) in
-  let done_ = ref false in
-  let pick v =
-    if (not !done_) && is_runnable v pid && v.op_of pid = Some op then begin
-      (* Count each distinct suspension once, not each consultation (same
-         accounting as [crash_on_op]). *)
-      let steps = v.steps_of pid in
-      if steps <> !last_counted then begin
-        last_counted := steps;
-        incr seen
-      end;
-      if !seen >= nth then begin
-        match v.oid_of pid with
-        | Some oid ->
-          done_ := true;
-          Mem_fault { kind = Event.Corrupt; oid }
-        | None -> inner.pick v
-      end
-      else inner.pick v
-    end
-    else inner.pick v
-  in
-  { name = inner.name ^ "+corrupt-on-op"; pick }
-
 (* ---- power-loss nemeses (docs/MODEL.md §13) ---- *)
 
-(* A power cycle is [Power_loss] (storage devices drop their un-synced
-   writes, every runnable process halts — one atomic blackout decision),
-   then a [Restart] per crashed process (reboot on the recovery function).
-   While everything is down the clock is frozen, so the reboot is issued
-   immediately — a blackout has no survivors to wait on.  Composed over a
-   run without a recovery function, [view.crashed] stays empty and the
-   blackout degrades to a permanent whole-system halt, per the nemesis
-   convention. *)
+(* A power cycle: the blackout, then a restart of every crashed pid.  The
+   consultation that finds none left goes to the inner policy. *)
+let blackout = now [ Power_loss ] @ [ Reboot ]
 
-(** One deterministic power loss: once the clock reaches [at_clock], cut
-    power (drop all un-synced storage writes, halt every runnable
-    process), then reboot every crashed process on its recovery
-    function. *)
 let power_loss_at ~at_clock inner =
-  let state = ref `Armed in
-  let pick v =
-    match !state with
-    | `Armed when v.clock >= at_clock ->
-      state := `Reboot;
-      Power_loss
-    | `Reboot when Array.length v.crashed > 0 -> Restart v.crashed.(0)
-    | `Reboot ->
-      state := `Done;
-      inner.pick v
-    | `Armed | `Done -> inner.pick v
-  in
-  { name = Printf.sprintf "%s+power-loss@%d" inner.name at_clock; pick }
+  nemesis
+    (Printf.sprintf "%s+power-loss@%d" inner.name at_clock)
+    (once_at at_clock (fun _ -> blackout))
+    inner
 
-(** Seeded power-loss storm: at every decision point, with probability
-    [rate], run a full power cycle (at most [max_losses] per run).  All
-    randomness derives from [seed]; the schedule replays exactly. *)
 let power_storm ~seed ?(rate = 0.005) ?(max_losses = 2) inner =
-  let st = Random.State.make [| seed; 0x90EB |] in
-  let losses = ref 0 in
-  let state = ref `Idle in
-  let pick v =
-    match !state with
-    | `Reboot when Array.length v.crashed > 0 -> Restart v.crashed.(0)
-    | `Reboot ->
-      state := `Idle;
-      inner.pick v
-    | `Idle ->
-      if
-        !losses < max_losses
-        && Array.length v.runnable > 0
-        && Random.State.float st 1.0 < rate
-      then begin
-        incr losses;
-        state := `Reboot;
-        Power_loss
-      end
-      else inner.pick v
-  in
-  { name = Printf.sprintf "power-storm(%d)+%s" seed inner.name; pick }
+  nemesis
+    (Printf.sprintf "power-storm(%d)+%s" seed inner.name)
+    (seeded (salted seed 0x90EB) ~p:rate ~max:max_losses (runnable_gt 0)
+       (fun _ -> Some blackout))
+    inner
 
 (* ---- network-fault nemeses (docs/MODEL.md §14) ---- *)
 
-(* A partition or a lag spike is several [Net_fault] decisions (one per
-   directed link, or per delayed message); a nemesis emits them one
-   scheduler consultation at a time through a pending queue, so each ends
-   up an individually shrinkable decision in the recorded schedule. *)
-let drain queue inner v =
-  match !queue with
-  | d :: tl ->
-    queue := tl;
-    d
-  | [] -> inner.pick v
-
-(** Seeded partition storm: with probability [rate] at each decision point
-    (at most [max_partitions] per run), isolate a uniformly chosen node of
-    [victims] from every node of [nodes] — a symmetric partition, one
-    [Cut_link] decision per direction per peer — and heal all those links
-    [heal_after] clock ticks later.  At most one partition is open at a
-    time.  All randomness derives from [seed]; the schedule replays
-    exactly. *)
-let partition_storm ~seed ~nodes ?victims ?(rate = 0.01) ?(heal_after = 80)
-    ?(max_partitions = 3) inner =
-  if nodes = [] then invalid_arg "Scheduler.partition_storm: no nodes";
-  let victims = match victims with Some vs -> vs | None -> nodes in
-  if victims = [] then invalid_arg "Scheduler.partition_storm: no victims";
-  let st = Random.State.make [| seed; 0x9A27 |] in
-  let queue = ref [] in
-  let open_partition = ref None in
-  let count = ref 0 in
-  let links_of victim =
-    List.concat_map
-      (fun peer ->
-        if peer = victim then []
-        else
-          [
-            Net_fault { kind = Event.Cut_link; src = victim; dst = peer };
-            Net_fault { kind = Event.Cut_link; src = peer; dst = victim };
-          ])
-      nodes
-  in
-  let heals_of victim =
-    List.concat_map
-      (fun peer ->
-        if peer = victim then []
-        else
-          [
-            Net_fault { kind = Event.Heal_link; src = victim; dst = peer };
-            Net_fault { kind = Event.Heal_link; src = peer; dst = victim };
-          ])
-      nodes
-  in
-  let pick v =
-    (match !open_partition with
-    | Some (victim, cut_at) when v.clock >= cut_at + heal_after ->
-      open_partition := None;
-      queue := !queue @ heals_of victim
-    | _ -> ());
-    if
-      !queue = []
-      && !open_partition = None
-      && !count < max_partitions
-      && Random.State.float st 1.0 < rate
-    then begin
-      let victim =
-        List.nth victims (Random.State.int st (List.length victims))
-      in
-      incr count;
-      open_partition := Some (victim, v.clock);
-      queue := links_of victim
-    end;
-    drain queue inner v
-  in
-  { name = Printf.sprintf "partition-storm(%d)+%s" seed inner.name; pick }
-
-(** One deterministic partition window: once the clock reaches [at_clock],
-    cut [victim] off from every node of [peers] (both directions), then
-    heal all those links [after] clock ticks later — the targeted
-    quorum-loss scenario ("replica 2 is unreachable from clock 40 to
-    120"). *)
-let heal_after ~victim ~peers ~at_clock ~after inner =
-  let queue = ref [] in
-  let state = ref `Armed in
+(* Cut both directions of every link between [victim] and the other nodes
+   of [peers] now, and heal them [heal_after] ticks later. *)
+let partition victim peers ~heal_after =
   let links kind =
     List.concat_map
       (fun peer ->
@@ -846,145 +629,86 @@ let heal_after ~victim ~peers ~at_clock ~after inner =
           ])
       peers
   in
-  let pick v =
-    (match !state with
-    | `Armed when v.clock >= at_clock ->
-      state := `Cut v.clock;
-      queue := !queue @ links Event.Cut_link
-    | `Cut c when v.clock >= c + after ->
-      state := `Done;
-      queue := !queue @ links Event.Heal_link
-    | _ -> ());
-    drain queue inner v
-  in
-  { name = Printf.sprintf "%s+heal-after@%d" inner.name at_clock; pick }
+  now (links Event.Cut_link) @ later heal_after (links Event.Heal_link)
 
-(** Seeded duplicate-delivery flood: with probability [rate] at each
-    decision point (at most [max_dups] per run), duplicate the oldest
-    in-flight message on a uniformly chosen loaded link.  [inflight] lists
-    the directed links currently carrying at least one message (the
-    transport exposes it; absorbed-if-empty keeps replay safe). *)
+let partition_storm ~seed ~nodes ?victims ?(rate = 0.01) ?(heal_after = 80)
+    ?(max_partitions = 3) inner =
+  if nodes = [] then invalid_arg "Scheduler.partition_storm: no nodes";
+  let victims = Option.value victims ~default:nodes in
+  if victims = [] then invalid_arg "Scheduler.partition_storm: no victims";
+  let st = salted seed 0x9A27 and healed = ref 0 in
+  (* One partition open at a time: the next may start once this one's heal
+     time has come, even if it had no link to cut. *)
+  nemesis
+    (Printf.sprintf "partition-storm(%d)+%s" seed inner.name)
+    (seeded st ~p:rate ~max:max_partitions
+       (fun v -> v.clock >= !healed)
+       (fun v ->
+         healed := v.clock + heal_after;
+         Some (partition (any_of st victims) nodes ~heal_after)))
+    inner
+
+let heal_after ~victim ~peers ~at_clock ~after inner =
+  nemesis
+    (Printf.sprintf "%s+heal-after@%d" inner.name at_clock)
+    (once_at at_clock (fun _ -> partition victim peers ~heal_after:after))
+    inner
+
+(* [burst] faults of [kind] against a uniformly chosen loaded link; [None]
+   when no link carries a message. *)
+let loaded_link st inflight kind burst =
+  match inflight () with
+  | [||] -> None
+  | links ->
+    let src, dst = any st links in
+    Some (now (List.init burst (fun _ -> Net_fault { kind; src; dst })))
+
 let dup_flood ~seed ~inflight ?(rate = 0.05) ?(max_dups = 16) inner =
-  let st = Random.State.make [| seed; 0xD0B1 |] in
-  let dups = ref 0 in
-  let pick v =
-    if !dups < max_dups && Random.State.float st 1.0 < rate then begin
-      let links = inflight () in
-      if Array.length links = 0 then inner.pick v
-      else begin
-        let src, dst = links.(Random.State.int st (Array.length links)) in
-        incr dups;
-        Net_fault { kind = Event.Dup_msg; src; dst }
-      end
-    end
-    else inner.pick v
-  in
-  { name = Printf.sprintf "dup-flood(%d)+%s" seed inner.name; pick }
+  let st = salted seed 0xD0B1 in
+  nemesis
+    (Printf.sprintf "dup-flood(%d)+%s" seed inner.name)
+    (seeded st ~p:rate ~max:max_dups (Fun.const true) (fun _ ->
+         loaded_link st inflight Event.Dup_msg 1))
+    inner
 
-(** Seeded lag spikes: with probability [rate] at each decision point (at
-    most [max_spikes] per run), reorder a burst of [burst] messages on a
-    uniformly chosen loaded link — each delay pushes the link's oldest
-    message behind its newest, so a spike scrambles the delivery order of
-    a whole protocol round. *)
 let lag_spike ~seed ~inflight ?(rate = 0.02) ?(burst = 4) ?(max_spikes = 6)
     inner =
-  let st = Random.State.make [| seed; 0x1A95 |] in
-  let spikes = ref 0 in
-  let queue = ref [] in
-  let pick v =
-    if !queue = [] && !spikes < max_spikes && Random.State.float st 1.0 < rate
-    then begin
-      let links = inflight () in
-      if Array.length links > 0 then begin
-        let src, dst = links.(Random.State.int st (Array.length links)) in
-        incr spikes;
-        queue :=
-          List.init burst (fun _ ->
-              Net_fault { kind = Event.Delay_msg; src; dst })
-      end
-    end;
-    drain queue inner v
-  in
-  { name = Printf.sprintf "lag-spike(%d)+%s" seed inner.name; pick }
+  let st = salted seed 0x1A95 in
+  nemesis
+    (Printf.sprintf "lag-spike(%d)+%s" seed inner.name)
+    (seeded st ~p:rate ~max:max_spikes (Fun.const true) (fun _ ->
+         loaded_link st inflight Event.Delay_msg burst))
+    inner
 
 (* ---- permanent-failure nemeses (docs/MODEL.md §16) ---- *)
 
-(** Seeded permanent replica deaths: with probability [rate] at each
-    decision point (at most [max_deaths] per run), crash a uniformly
-    chosen runnable pid of [victims] — and never restart it.  The machine
-    is gone for good; recovering the {e service} is the membership
-    layer's job, not the scheduler's.  Composing this nemesis with one
-    that restarts from [view.crashed] (e.g. {!crash_storm}) would undo
-    the permanence; compose with {!partition_storm}/{!config_churn}
-    instead. *)
 let replica_death ~seed ~victims ?(rate = 0.01) ?(max_deaths = 1) inner =
   if victims = [] then invalid_arg "Scheduler.replica_death: no victims";
-  let st = Random.State.make [| seed; 0xDEAD |] in
-  let killed = ref 0 in
-  let pick v =
-    if
-      !killed < max_deaths
-      && Array.length v.runnable > 1
-      && Random.State.float st 1.0 < rate
-    then begin
-      let alive = List.filter (fun p -> is_runnable v p) victims in
-      match alive with
-      | [] -> inner.pick v
-      | _ ->
-        let p = List.nth alive (Random.State.int st (List.length alive)) in
-        incr killed;
-        Crash p
-    end
-    else inner.pick v
-  in
-  { name = Printf.sprintf "replica-death(%d)+%s" seed inner.name; pick }
+  let st = salted seed 0xDEAD in
+  nemesis
+    (Printf.sprintf "replica-death(%d)+%s" seed inner.name)
+    (seeded st ~p:rate ~max:max_deaths (runnable_gt 1) (fun v ->
+         match List.filter (is_runnable v) victims with
+         | [] -> None
+         | alive -> Some (now [ Crash (any_of st alive) ])))
+    inner
 
-(** Deterministic rolling restart: crash each pid of [victims] in turn —
-    the first once the clock reaches [start_at], each subsequent one [gap]
-    ticks after the previous victim came back — keeping each down for
-    [down_for] ticks before restarting it.  At most one victim is down at
-    a time, the maintenance-window discipline of a rolling upgrade.
-    Composed over a run without a recovery function the first crash is
-    permanent and the roll stops (nemesis convention). *)
+(* The whole roll is one batch: each crash falls due [gap] ticks after the
+   previous victim came back ([start_at] for the first), each restart
+   [down_for] ticks after its crash. *)
 let rolling_restart ~victims ?(start_at = 40) ?(gap = 40) ?(down_for = 40)
     inner =
-  let rest = ref victims in
-  let state = ref (`Armed start_at) in
-  let pick v =
-    match (!state, !rest) with
-    | `Armed at, p :: _ when v.clock >= at && is_runnable v p ->
-      state := `Down v.clock;
-      Crash p
-    | `Down c, p :: tl
-      when is_restartable v p
-           && (v.clock >= c + down_for || Array.length v.runnable = 0) ->
-      (* When nothing is runnable the clock is frozen: restart now rather
-         than livelock. *)
-      rest := tl;
-      state := `Armed (v.clock + gap);
-      Restart p
-    | _ -> inner.pick v
+  let roll i p =
+    later (if i = 0 then start_at else gap) [ Crash p ]
+    @ later down_for [ Restart p ]
   in
-  { name = inner.name ^ "+rolling-restart"; pick }
+  nemesis (inner.name ^ "+rolling-restart")
+    (once (fun _ -> List.concat (List.mapi roll victims)))
+    inner
 
-(** Seeded configuration churn: with probability [rate] at each decision
-    point (at most [max_reconfigs] per run), emit a {!Reconfig} decision —
-    asking the membership manager to propose a replacement configuration
-    even though nothing failed.  Layer it over {!partition_storm} to
-    reconfigure mid-partition, the handoff-under-split-brain-pressure
-    scenario epoch fencing exists for. *)
 let config_churn ~seed ?(rate = 0.004) ?(max_reconfigs = 3) inner =
-  let st = Random.State.make [| seed; 0xC0F6 |] in
-  let count = ref 0 in
-  let pick v =
-    if
-      !count < max_reconfigs
-      && Array.length v.runnable > 0
-      && Random.State.float st 1.0 < rate
-    then begin
-      incr count;
-      Reconfig
-    end
-    else inner.pick v
-  in
-  { name = Printf.sprintf "config-churn(%d)+%s" seed inner.name; pick }
+  nemesis
+    (Printf.sprintf "config-churn(%d)+%s" seed inner.name)
+    (seeded (salted seed 0xC0F6) ~p:rate ~max:max_reconfigs (runnable_gt 0)
+       (fun _ -> Some (now [ Reconfig ])))
+    inner

@@ -134,10 +134,37 @@ val rotation : victims:int list -> burst:int -> victim_steps:int -> unit -> t
 (** Random bursts of consecutive steps (geometric, mean [mean_burst]). *)
 val bursty : seed:int -> ?mean_burst:int -> unit -> t
 
-(** {2 Nemesis combinators} — fault injection layered over an inner policy.
-    A nemesis only issues {!Restart} for pids listed in [view.crashed], so
+(** {2 The nemesis algebra} — fault injection layered over an inner policy
+    (docs/MODEL.md §8).  Every nemesis below is a spec over one driver,
+    {!nemesis}.  A {e trigger} looks at the view and may return a batch of
+    {e follow-ups}: the fault to issue now and what it owes later (a
+    restart, a heal, the rest of a burst).  At each decision point the
+    driver issues the next owed follow-up once it is due; with none owed
+    it asks the trigger; otherwise the inner policy schedules.  Each fault
+    is one decision, so it replays and ddmin-shrinks on its own.  A
+    nemesis only issues {!Restart} for pids listed in [view.crashed], so
     composing one with a run that has no recovery function degrades to
     permanent crashes. *)
+
+type follow_up
+(** One decision a nemesis owes, built with {!now}. *)
+
+type trigger = view -> follow_up list
+
+val now : decision list -> follow_up list
+(** The decisions, one per consultation, starting at once.  A {!Crash}
+    waits for its pid to be runnable and a {!Restart} for its pid to be
+    restartable. *)
+
+val once_at : int -> trigger -> trigger
+(** [once_at clock trigger] — a clock one-shot: from [clock] on, the first
+    non-empty batch of [trigger], then nothing. *)
+
+val nemesis : string -> trigger -> t -> t
+(** [nemesis name trigger inner] — the driver.  While follow-ups are owed,
+    the next is issued once due and [inner] schedules until then; with
+    none owed, [trigger]'s batch is queued and its first due follow-up
+    issued; an empty batch defers to [inner]. *)
 
 (** Crashes [pid] the first time the clock reaches [at_clock] while [pid]
     is runnable; the pid stays down forever (halting failure). *)
@@ -155,14 +182,6 @@ val with_crash_restart : pid:int -> crash_at:int -> restart_after:int -> t -> t
     last runnable process. *)
 val crash_storm :
   seed:int -> ?rate:float -> ?max_crashes:int -> ?restart_after:int -> t -> t
-
-(** Targeted fault: crashes [pid] the [nth] (default 1st) time it is
-    suspended at a shared access of kind [op] — e.g. [~op:Event.Cas] kills
-    an updater between its read and its CAS, the classic lost-update
-    window.  With [restart_after] the victim respawns that many clock
-    ticks later; without it the crash is permanent. *)
-val crash_on_op :
-  pid:int -> op:Event.mem_op -> ?nth:int -> ?restart_after:int -> t -> t
 
 (** The seeded chaos nemesis: random kills ([rate], default 0.04; at most
     [max_crashes], default 6) with randomized delayed restarts (up to

@@ -4,10 +4,14 @@
 
 module Int_map = Map.Make (Int)
 
+(* (oid, name) pairs, ordered as the polymorphic compare orders them *)
+let compare_obj (o1, n1) (o2, n2) =
+  match Int.compare o1 o2 with 0 -> String.compare n1 n2 | c -> c
+
 module Obj_map = Map.Make (struct
   type t = int * string
 
-  let compare = compare
+  let compare = compare_obj
 end)
 
 let steps (trace : Event.t list) =
@@ -47,7 +51,9 @@ let steps_by_object trace =
   |> List.sort (fun (oid1, n1, a) (oid2, n2, b) ->
          (* hottest first; ties broken by (oid, name) so the order is a
             function of the trace alone *)
-         match compare b a with 0 -> compare (oid1, n1) (oid2, n2) | c -> c)
+         match Int.compare b a with
+         | 0 -> compare_obj (oid1, n1) (oid2, n2)
+         | c -> c)
 
 let context_switches trace =
   let rec go last n = function

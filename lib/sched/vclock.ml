@@ -30,7 +30,8 @@ let leq (a : t) (b : t) =
   Array.iteri (fun i x -> if x > b.(i) then ok := false) a;
   !ok
 
-let equal (a : t) (b : t) = a = b
+let equal (a : t) (b : t) =
+  Array.length a = Array.length b && Array.for_all2 Int.equal a b
 
 (* The partial order of happens-before: two clocks are [`Concurrent] when
    neither dominates — exactly the situation in which two accesses race. *)

@@ -25,17 +25,10 @@ let fault kind oid = Scheduler.Mem_fault { kind; oid }
    positions a fault between hardened sub-steps without counting them by
    hand. *)
 let inject_at ~clock ~kind ~oid inner =
-  let done_ = ref false in
-  {
-    Scheduler.name = "inject@" ^ string_of_int clock;
-    pick =
-      (fun v ->
-        if (not !done_) && v.Scheduler.clock >= clock then begin
-          done_ := true;
-          Scheduler.Mem_fault { kind; oid }
-        end
-        else Scheduler.pick inner v);
-  }
+  Scheduler.nemesis
+    ("inject@" ^ string_of_int clock)
+    (Scheduler.once_at clock (fun _ -> Scheduler.now [ fault kind oid ]))
+    inner
 
 let reset () =
   Sim.reset_prerun_oids ();
