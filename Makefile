@@ -22,8 +22,10 @@ lint:
 
 # Polymorphic-comparison check: build the core libraries with -S into a
 # separate build directory and fail on any call to the polymorphic
-# comparison primitives (caml_compare, caml_equal, caml_lessthan, ...),
-# reported at its source line.  On an int, an int-typed comparison is one
+# comparison primitives (caml_compare, caml_equal, caml_lessthan, ...) or
+# to the Stdlib helpers that use them internally (List.mem, List.assoc,
+# List.assoc_opt, List.mem_assoc, List.remove_assoc, Array.mem), reported
+# at its source line.  On an int, an int-typed comparison is one
 # instruction; the polymorphic one is a C call.
 POLYCMP_LIBS := lib/snapshot/psnap_snapshot lib/activeset/psnap_activeset \
   lib/runtime/psnap_runtime lib/mem/psnap_mem lib/interval/psnap_interval \

@@ -156,7 +156,7 @@ let random ~seed () =
     updaters (the starvation scenario motivating the helping mechanism). *)
 let starve ~victims ~seed ?(boost = 0.02) () =
   let st = Random.State.make [| seed |] in
-  let is_victim p = List.mem p victims in
+  let is_victim p = List.exists (Int.equal p) victims in
   let pick v =
     let runnable = v.runnable in
     let others = Array.to_list runnable |> List.filter (fun p -> not (is_victim p)) in
@@ -320,7 +320,8 @@ let rotation ~victims ~burst ~victim_steps () =
         take ()
       | [] -> (
         let non_victims =
-          Array.to_list runnable |> List.filter (fun p -> not (List.mem p victims))
+          Array.to_list runnable
+          |> List.filter (fun p -> not (List.exists (Int.equal p) victims))
         in
         match non_victims with
         | [] -> Run runnable.(0)

@@ -154,6 +154,10 @@ module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) = struct
       | Some view -> (Borrowed view, { collects = 1; borrowed = true })
       | None -> settle regs idxs state note first (Array.make r c0) 2
 
+  let rec seen_seq (seq : int) = function
+    | [] -> false
+    | (s, _) :: rest -> s = seq || seen_seq seq rest
+
   (* [baseline.(k)]: the last tag seen in location [k]; [fresh]: per
      updating process, the (seq, view) pairs it was observed to write
      during this scan. *)
@@ -170,7 +174,7 @@ module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) = struct
         assert false (* registers never revert to their initial value *)
       | Some _, Tag.W { pid; seq } -> (
         let l = try Hashtbl.find fresh pid with Not_found -> [] in
-        if List.mem_assoc seq l then None
+        if seen_seq seq l then None
         else
           let l = (seq, c.view) :: l in
           Hashtbl.replace fresh pid l;

@@ -12,14 +12,17 @@
    as a read-only transaction" (Section 6).
 
    Read-write commits serialize through a commit descriptor installed by
-   CAS: validate the write set first-committer-wins (head of each chain
-   must still be visible to this transaction's snapshot), draw a commit
-   timestamp by fetch&add, then publish each new chain through the snapshot
-   update path.  Acquisition is bounded — a committer that cannot install
-   the descriptor aborts with [Busy] rather than spinning, so a crashed
-   descriptor holder can never hang its peers (aborts are always SI-safe);
-   [resume] lets a restarted incarnation of the same pid complete or
-   release its dead incarnation's descriptor, mirroring [Durable.resume].
+   CAS: one partial scan over the write set reads every written chain, the
+   chains are validated first-committer-wins (head of each chain must still
+   be visible to this transaction's snapshot), a commit timestamp is drawn
+   by fetch&add, and each new chain is built on the scanned one and
+   published through the snapshot update path.  The descriptor holder is
+   the only publisher, so the scanned chains are still the heads.
+   Acquisition is bounded — a committer that cannot install the descriptor
+   aborts with [Busy] rather than spinning, so a crashed descriptor holder
+   can never hang its peers (aborts are always SI-safe); [resume] lets a
+   restarted incarnation of the same pid complete or release its dead
+   incarnation's descriptor, mirroring [Durable.resume].
 
    The deliberately-unsound [Lww] mode skips first-committer-wins
    validation (last writer wins): it exists so the chaos campaigns and the
@@ -207,6 +210,16 @@ struct
 
   (* ---- reads ---- *)
 
+  (* Int-typed, closure-free list lookups for the per-version and
+     per-component paths. *)
+  let rec mem_int (x : int) = function
+    | [] -> false
+    | y :: rest -> y = x || mem_int x rest
+
+  let rec own_write (i : int) = function
+    | [] -> None
+    | (j, v) :: rest -> if j = i then Some v else own_write i rest
+
   let visible txn chain =
     let rec pick = function
       | [] ->
@@ -214,7 +227,7 @@ struct
            begin-timestamp; an empty filter would be a pruning bug. *)
         failwith "Psnap_txn: no visible version (pruned below watermark?)"
       | ver :: rest ->
-        if ver.cts <= txn.bts && not (List.mem ver.vtxid txn.excluded) then
+        if ver.cts <= txn.bts && not (mem_int ver.vtxid txn.excluded) then
           ver.v
         else pick rest
     in
@@ -222,7 +235,7 @@ struct
 
   let read txn i =
     check_live txn "read";
-    match List.assoc_opt i txn.writes with
+    match own_write i txn.writes with
     | Some v -> v
     | None ->
       let chain = (S.scan txn.h.sh [| i |]).(0) in
@@ -238,7 +251,7 @@ struct
     Array.mapi
       (fun k chain ->
         let i = idxs.(k) in
-        match List.assoc_opt i txn.writes with
+        match own_write i txn.writes with
         | Some v -> v
         | None ->
           let v = visible txn chain in
@@ -249,7 +262,7 @@ struct
   let write txn i v =
     check_live txn "write";
     if i < 0 || i >= txn.h.t.m then invalid_arg "Psnap_txn.write: bad component";
-    txn.writes <- (i, v) :: List.remove_assoc i txn.writes
+    txn.writes <- (i, v) :: List.filter (fun (j, _) -> j <> i) txn.writes
 
   (* ---- commit ---- *)
 
@@ -293,18 +306,44 @@ struct
     in
     try_ t.lock_attempts
 
-  let publish_one h ~cts ~txid ~watermark (i, v) =
-    let t = h.t in
-    let chain = (S.scan h.sh [| i |]).(0) in
-    match chain with
-    | { cts = c; _ } :: _ when c >= cts ->
-      (* Already published (a resume replaying a dead incarnation's
-         descriptor); the descriptor holder is exclusive, so [c > cts] is
-         impossible and [c = cts] means this very write landed. *)
-      ()
-    | chain ->
-      S.update h.sh i
-        ({ cts; vtxid = txid; v } :: prune ~n:t.n ~watermark chain)
+  (* The written components' chains, in [writes] order, by one partial
+     scan.  Called only while this pid holds the descriptor. *)
+  let scan_writes h writes = S.scan h.sh (Array.of_list (List.map fst writes))
+
+  (* First-committer-wins: the first written component whose head this
+     transaction cannot see.  [Lww] counts each such head as an overwrite
+     (a lost-update risk the oracle can catch) and validates anyway. *)
+  let validate txn writes chains =
+    let rec go k = function
+      | [] -> None
+      | (i, _) :: rest -> (
+        match chains.(k) with
+        | { cts; vtxid; _ } :: _
+          when cts > txn.bts || mem_int vtxid txn.excluded ->
+          if txn.h.t.mode = Fcw then Some i
+          else begin
+            Metrics.note_txn_lww_overwrite ();
+            go (k + 1) rest
+          end
+        | _ -> go (k + 1) rest)
+    in
+    go 0 writes
+
+  (* Publish [writes] at [cts], each new chain built on its [chains] entry
+     (from [scan_writes]).  No other pid publishes while the descriptor is
+     held, so each entry is still its component's head.  A head already at
+     [cts] is a write a dead incarnation landed before a [resume] ([c > cts]
+     is impossible), and is skipped. *)
+  let publish h ~cts ~txid writes chains =
+    let watermark = watermark h.t in
+    List.iteri
+      (fun k (i, v) ->
+        match chains.(k) with
+        | { cts = c; _ } :: _ when c >= cts -> ()
+        | chain ->
+          S.update h.sh i
+            ({ cts; vtxid = txid; v } :: prune ~n:h.t.n ~watermark chain))
+      writes
 
   let finish_abort txn ~joined reason =
     if joined then A.leave txn.h.ah;
@@ -343,49 +382,18 @@ struct
       in
       if not (acquire txn desc) then finish_abort txn ~joined:true Busy
       else
-        let idxs = Array.of_list (List.map fst writes) in
-        let chains = S.scan txn.h.sh idxs in
-        let conflict =
-          if t.mode = Lww then None
-          else
-            let found = ref None in
-            Array.iteri
-              (fun k chain ->
-                if !found = None then
-                  match chain with
-                  | { cts; vtxid; _ } :: _
-                    when cts > txn.bts || List.mem vtxid txn.excluded ->
-                    found := Some idxs.(k)
-                  | _ -> ())
-              chains;
-            !found
-        in
-        match conflict with
+        let chains = scan_writes txn.h writes in
+        match validate txn writes chains with
         | Some i ->
           let held = M.read t.lock in
           ignore (M.cas t.lock ~expected:held ~desired:Free);
           finish_abort txn ~joined:true (Conflict i)
         | None ->
-          if t.mode = Lww then begin
-            (* Count the overwrites first-committer-wins would have
-               refused: each is a lost-update risk the oracle can catch. *)
-            Array.iter
-              (fun chain ->
-                match chain with
-                | { cts; vtxid; _ } :: _
-                  when cts > txn.bts || List.mem vtxid txn.excluded ->
-                  Metrics.note_txn_lww_overwrite ()
-                | _ -> ())
-              chains
-          end;
           let cts = 1 + M.fetch_and_add t.clock 1 in
           (* Record the drawn timestamp in the descriptor before touching
              any chain, so a resume can roll the publish forward. *)
           M.write t.lock (Held { desc with dcts = Some cts });
-          let w = watermark t in
-          List.iter
-            (publish_one txn.h ~cts ~txid:txn.txid ~watermark:w)
-            writes;
+          publish txn.h ~cts ~txid:txn.txid writes chains;
           (* Record the outcome before the unlock/leave/slot-clear sequence
              makes the writes visible.  Scheduler decision points live only
              inside memory operations, so this mutation is crash-atomic
@@ -411,13 +419,14 @@ struct
 
   (* Called by a restarted incarnation before its first transaction: if the
      dead incarnation crashed holding the commit descriptor, complete the
-     publish (the descriptor records the writes and, if drawn, the commit
-     timestamp — publishes are idempotent under the head-cts guard) and
-     release it; always clear this pid's announce slot.  A crashed
-     committer that is never resumed stays in the active set with its
-     announce slot set, so its partial writes remain excluded by every
-     later snapshot: permanently invisible is effectively aborted, and
-     soundness never depends on resume being called.
+     publish from one partial scan over its write set (the descriptor
+     records the writes and, if drawn, the commit timestamp — the head-cts
+     guard skips the writes that already landed) and release it; always
+     clear this pid's announce slot.  A crashed committer that is never
+     resumed stays in the active set with its announce slot set, so its
+     partial writes remain excluded by every later snapshot: permanently
+     invisible is effectively aborted, and soundness never depends on
+     resume being called.
 
      Returns the observation of a rolled-forward commit (the dead
      incarnation's [txn] record stays [`Live], so this is the only witness
@@ -433,8 +442,7 @@ struct
         let obs =
           match d.dcts with
           | Some cts ->
-            let w = watermark t in
-            List.iter (publish_one h ~cts ~txid:d.dtxid ~watermark:w) d.dwrites;
+            publish h ~cts ~txid:d.dtxid d.dwrites (scan_writes h d.dwrites);
             Some
               {
                 Psnap_history.Si_check.txid = d.dtxid;

@@ -14,7 +14,12 @@
    and before/after the durable commit path dropped its Printf framing and
    per-call closures (Durable.Make (Mem.Atomic) (Mc_fig3) (Storage.Mc),
    no checkpoints; the fig3 update's own 79 words included):
-     durable update                              239.1 -> 113.0 *)
+     durable update                              239.1 -> 113.0
+
+   and before/after a read-write commit published from its validation scan
+   instead of scanning each written component again (Mc_txn_fig3, one
+   transfer: begin, 2 reads, 2 writes, commit):
+     txn transfer                                752.4 -> 635.2 *)
 
 open Psnap
 
@@ -90,6 +95,20 @@ let test_resilient_scan () =
       | Res.Atomic _ -> ()
       | Res.Degraded _ -> Alcotest.fail "uncontended scan degraded")
 
+let test_txn_transfer () =
+  let module T = Mc_txn_fig3 in
+  let t = T.create ~n:1 (Array.make 64 100) in
+  let h = T.handle t ~pid:0 in
+  gate "txn transfer (2 reads, 2 writes)" ~budget:700. (fun k ->
+      let a = k land 63 and b = (k + 1) land 63 in
+      let x = T.begin_ h in
+      let va = T.read x a and vb = T.read x b in
+      T.write x a (va - 1);
+      T.write x b (vb + 1);
+      match T.commit x with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "uncontended transfer aborted")
+
 let () =
   Alcotest.run "alloc"
     [
@@ -99,5 +118,6 @@ let () =
           Alcotest.test_case "fig3 update" `Quick test_fig3_update;
           Alcotest.test_case "durable update" `Quick test_durable_update;
           Alcotest.test_case "resilient scan" `Quick test_resilient_scan;
+          Alcotest.test_case "txn transfer" `Quick test_txn_transfer;
         ] );
     ]

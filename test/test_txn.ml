@@ -3,11 +3,12 @@
    (snapshot reads, own-write shadowing, read-only commits that never
    abort), first-committer-wins conflict detection vs the deliberately
    unsound last-writer-wins mode, the SI oracle on hand-crafted
-   observation lists, crash–restart chaos campaigns with descriptor
-   roll-forward, the typed transactional Kv facade's edge cases, and the
-   committed E20 witness schedule, which must drive last-writer-wins to a
-   lost update while first-committer-wins survives the very same
-   schedule. *)
+   observation lists, the exact simulator cost of one commit, a crash
+   between a commit's two publishes and its roll-forward, crash–restart
+   chaos campaigns with descriptor roll-forward, the typed transactional
+   Kv facade's edge cases, and the committed E20 witness schedule, which
+   must drive last-writer-wins to a lost update while first-committer-wins
+   survives the very same schedule. *)
 
 open Psnap
 
@@ -181,6 +182,110 @@ let test_oracle_bad_timestamps () =
          obs ~txid:1 ~begin_ts:0 ~commit_ts:2 ~writes:[ (0, 70) ] ();
          obs ~txid:2 ~begin_ts:0 ~commit_ts:2 ~writes:[ (0, 71) ] ();
        ])
+
+(* ---- one commit under the simulator ---- *)
+
+module St = Sim_txn_fig3
+
+(* Steps of the trace in clocks [from + 1 .. until] that [p] selects. *)
+let steps_between res ~from ?(until = max_int) p =
+  List.length
+    (List.filter
+       (function
+         | Event.Step { clock; obj_name; op; _ } ->
+           clock > from && clock <= until && p obj_name op
+         | _ -> false)
+       res.Sim.trace)
+
+(* A fig3 partial scan announces its component set with one write to the
+   scanner's A[pid] register, so announce writes count partial scans; an
+   update installs its value with one CAS on a register R[i]. *)
+let announce name op = name = "A[0]" && op = Event.Write
+
+let install name op = String.starts_with ~prefix:"R[" name && op = Event.Cas
+
+(* One transfer between two accounts: begin, two reads, two writes,
+   commit; [at_commit] sees the clock just before the commit. *)
+let transfer t ~at_commit () =
+  let x = St.begin_ (St.handle t ~pid:0) in
+  let a = St.read x 0 and b = St.read x 1 in
+  St.write x 0 (a - 10);
+  St.write x 1 (b + 10);
+  at_commit (Sim.clock ());
+  match St.commit x with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "uncontended transfer aborted"
+
+let test_solo_transfer_steps () =
+  (* The simulator's step count is deterministic: the transfer alone on
+     pid 0 of a two-process object.  Before the commit published from its
+     validation scan it also scanned each written component again: 88
+     steps, 63 of them in the commit, 3 partial scans. *)
+  let t = St.create ~n:2 [| 100; 100; 100; 100 |] in
+  let from = ref 0 in
+  let res =
+    Sim.run ~record_trace:true ~sched:(Scheduler.round_robin ())
+      [| transfer t ~at_commit:(( := ) from) |]
+  in
+  let scans = steps_between res ~from:!from announce in
+  Printf.printf "transfer: %d steps, commit %d, %d partial scans in commit\n"
+    res.clock (res.clock - !from) scans;
+  check_int "partial scans in the commit" 1 scans;
+  check_int "commit steps" 42 (res.clock - !from);
+  check_int "transfer steps" 67 res.clock
+
+let test_resume_publishes_missing_write () =
+  (* Crash the committer at its second install: the first write has
+     landed, the second has not.  The restarted incarnation's resume must
+     publish only the missing write from one partial scan, after which
+     both writes are visible and the history is snapshot-isolated. *)
+  let t = St.create ~n:1 [| 100; 100 |] in
+  let installs = ref 0 and counted = ref (-1) in
+  let second_install (v : Scheduler.view) =
+    match (v.op_of 0, v.name_of 0) with
+    | Some op, Some name when install name op ->
+      if v.steps_of 0 <> !counted then (
+        counted := v.steps_of 0;
+        incr installs);
+      if !installs = 2 then Scheduler.now [ Crash 0; Restart 0 ] else []
+    | _ -> []
+  in
+  let sched =
+    Scheduler.nemesis "crash-between-publishes"
+      (Scheduler.once_at 0 second_install)
+      (Scheduler.round_robin ())
+  in
+  let restarted = ref 0 and resumed_at = ref 0 in
+  let resumed = ref None and after = ref None in
+  let recover ~pid ~incarnation:_ () =
+    let h = St.handle t ~pid in
+    restarted := Sim.clock ();
+    resumed := St.resume h;
+    resumed_at := Sim.clock ();
+    let y = St.begin_ h in
+    check_bool "both writes visible" true
+      (St.read_many y [| 0; 1 |] = [| 90; 110 |]);
+    ignore (St.commit y);
+    after := St.observation y
+  in
+  let res =
+    Sim.run ~record_trace:true ~recover ~sched
+      [| transfer t ~at_commit:ignore |]
+  in
+  Alcotest.(check (list int)) "committer crashed once" [ 0 ] res.crashed;
+  check_int "installs before the crash" 1
+    (steps_between res ~from:0 ~until:!restarted install);
+  check_int "resume installs only the missing write" 1
+    (steps_between res ~from:!restarted install);
+  check_int "resume makes one partial scan" 1
+    (steps_between res ~from:!restarted ~until:!resumed_at announce);
+  match (!resumed, !after) with
+  | Some o, Some r ->
+    check_bool "resume reports the rolled-forward commit" true
+      (o.Si_check.committed && List.length o.writes = 2);
+    check_int "SI-clean" 0
+      (List.length (Si_check.check ~init:[| 100; 100 |] [ o; r ]))
+  | _ -> Alcotest.fail "resume reported no commit"
 
 (* ---- chaos campaigns in the simulator ---- *)
 
@@ -365,6 +470,13 @@ let () =
           Alcotest.test_case "lost update" `Quick test_oracle_lost_update;
           Alcotest.test_case "bad timestamps" `Quick
             test_oracle_bad_timestamps;
+        ] );
+      ( "simulator",
+        [
+          Alcotest.test_case "solo transfer steps" `Quick
+            test_solo_transfer_steps;
+          Alcotest.test_case "resume publishes the missing write" `Quick
+            test_resume_publishes_missing_write;
         ] );
       ( "chaos",
         [

@@ -1,6 +1,10 @@
 # Reports every call to OCaml's polymorphic comparison primitives in the
 # assembly that `ocamlopt -S` emits, at the source line the compiler
-# attributes it to (the nearest preceding .loc directive).
+# attributes it to (the nearest preceding .loc directive).  Calls to the
+# Stdlib helpers that compare with polymorphic equality internally
+# (List.mem, List.assoc, List.assoc_opt, List.mem_assoc, List.remove_assoc,
+# Array.mem) are reported too: their call site shows no caml_equal, yet
+# every element test is one.
 #
 #   awk -f tools/polycmp.awk FILE.s...
 #
@@ -21,6 +25,14 @@ $1 == ".loc" { here = files[$2] ":" $3 }
   sym = $0
   sub(/^.*caml_/, "caml_", sym)
   sub(/[^_a-zA-Z0-9].*$/, "", sym)
+  print here ": " sym
+  found++
+}
+
+/camlStdlib__(List\.(mem|assoc|assoc_opt|mem_assoc|remove_assoc)|Array\.mem)_[0-9]+/ {
+  sym = $0
+  sub(/^.*camlStdlib__/, "", sym)
+  sub(/_[0-9]+([^_a-zA-Z0-9].*)?$/, "", sym)
   print here ": " sym
   found++
 }
