@@ -24,9 +24,11 @@ lint:
 # separate build directory and fail on any call to the polymorphic
 # comparison primitives (caml_compare, caml_equal, caml_lessthan, ...) or
 # to the Stdlib helpers that use them internally (List.mem, List.assoc,
-# List.assoc_opt, List.mem_assoc, List.remove_assoc, Array.mem), reported
-# at its source line.  On an int, an int-typed comparison is one
-# instruction; the polymorphic one is a C call.
+# List.assoc_opt, List.mem_assoc, List.remove_assoc, Array.mem, and the
+# generic Hashtbl's add/replace/find/find_opt/mem/remove, whose symbols
+# tools/hashtbl_probe.ml supplies), reported at its source line.  On an
+# int, an int-typed comparison is one instruction; the polymorphic one is
+# a C call.
 POLYCMP_LIBS := lib/snapshot/psnap_snapshot lib/activeset/psnap_activeset \
   lib/runtime/psnap_runtime lib/mem/psnap_mem lib/interval/psnap_interval \
   lib/persist/psnap_persist lib/txn/psnap_txn lib/sched/psnap_sched
@@ -34,7 +36,8 @@ polycmp:
 	rm -rf _polycmp
 	dune build --profile polycmp --build-dir _polycmp \
 	  $(addsuffix .cmxa,$(POLYCMP_LIBS))
-	awk -f tools/polycmp.awk $$(find \
+	ocamlopt -S -c -o _polycmp/hashtbl_probe.cmx tools/hashtbl_probe.ml
+	awk -f tools/polycmp.awk _polycmp/hashtbl_probe.s $$(find \
 	  $(addprefix _polycmp/default/,$(dir $(POLYCMP_LIBS))) -name '*.s')
 
 # Happens-before race checking (docs/MODEL.md §12): run every seeded
@@ -102,7 +105,8 @@ chaos-mem: campaign-build
 # Serving-layer smoke (E16): drive the flat and sharded Figure 3 through
 # the multicore loadgen on 2 domains, short budget, JSON summaries
 # uploaded with the other campaign artifacts.  The committed reference
-# trajectory is BENCH_runtime.json.
+# trajectory is BENCH_runtime.json.  A flag the selected stack does not
+# read must exit 2.
 loadgen-smoke:
 	dune build bin/loadgen.exe
 	mkdir -p $(ARTIFACTS)
@@ -112,6 +116,7 @@ loadgen-smoke:
 	dune exec bin/loadgen.exe -- --impl sharded --shards 8 --partition range \
 	  -m 1024 -r 16 --domains 2 --mix 1u+1s --scan window --duration 500ms \
 	  --warmup 0.1s --seed 42 --json $(ARTIFACTS)/loadgen-sharded.json
+	dune exec bin/loadgen.exe -- --impl fig3 --open-shard 0; test $$? -eq 2
 
 # Resilient-serving campaign (E17, docs/MODEL.md §11): the supervised
 # sharded front under combined nemeses.  Every Atomic scan is checked for
@@ -196,8 +201,10 @@ chaos-net: campaign-build
 # nemeses with the SI observation oracle on; the last-writer-wins run
 # must violate snapshot isolation (its shrunk witness lands in
 # _artifacts/; the committed reference witness lives in schedules/ and
-# is replayed by dune runtest); the loadgen run prices a zipf
-# read-mostly transaction mix and reports the abort rate.
+# is replayed by dune runtest); the two-component run keeps version
+# chains short enough that pruning happens under the oracle; the loadgen
+# run prices a zipf read-mostly transaction mix and reports the abort
+# rate.
 # CHAOS_TXN_SEED lets CI sweep seeds.
 CHAOS_TXN_SEED ?= 0
 chaos-txn: campaign-build
@@ -213,6 +220,9 @@ chaos-txn: campaign-build
 	  --shrink \
 	  --replay-file $(ARTIFACTS)/e20-txn-lww-$(CHAOS_TXN_SEED).sched \
 	  --json $(ARTIFACTS)/chaos-txn-lww-$(CHAOS_TXN_SEED).json
+	dune exec bin/simulate.exe -- --impl txn -m 2 -r 2 --nemesis chaos \
+	  --seed $(CHAOS_TXN_SEED) --seeds 10 --check \
+	  --json $(ARTIFACTS)/chaos-txn-prune-$(CHAOS_TXN_SEED).json
 	dune exec bin/loadgen.exe -- --impl txn -m 64 -r 8 --domains 2 \
 	  --dist zipf --mix 10:90 --duration 500ms --warmup 0.1s --seed 42 \
 	  --json $(ARTIFACTS)/loadgen-txn.json

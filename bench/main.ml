@@ -10,6 +10,13 @@
 open Psnap
 module Table = Psnap_harness.Table
 module Experiments = Psnap_harness.Experiments
+module Mc = Psnap_harness.Loadgen_cli.Mc_stack
+
+(* The flat multicore implementations, from the stack registry. *)
+let flat =
+  List.map
+    (fun name -> (name, List.assoc name Mc.bases))
+    [ "afek"; "fig1"; "fig3"; "farray" ]
 
 (* ---- E8a: bechamel latency of uncontended operations ---- *)
 
@@ -40,14 +47,6 @@ let bechamel_tests () =
     Test.make ~name:(Printf.sprintf "%s/scan r=m=%d" name m)
       (Staged.stage (fun () -> ignore (S.scan h all)))
   in
-  let impls : (string * (module Snapshot.S)) list =
-    [
-      ("afek", (module Mc_afek));
-      ("fig1", (module Mc_fig1));
-      ("fig3", (module Mc_fig3));
-      ("farray", (module Mc_farray));
-    ]
-  in
   (* the restricted single-writer/single-scanner object (related work) *)
   let module SS = Psnap.Snapshot.Single_scanner (Psnap.Mem.Atomic) in
   let ss_tests =
@@ -69,7 +68,7 @@ let bechamel_tests () =
   Test.make_grouped ~name:"snapshot"
     (List.concat_map
        (fun (name, m') -> [ mk_update name m'; mk_scan name m'; mk_full name m' ])
-       impls
+       flat
     @ ss_tests)
 
 let run_bechamel () =
@@ -128,14 +127,12 @@ let throughput_row (name, impl) =
   [ name; rate rep.Loadgen.updates; rate rep.Loadgen.scans ]
 
 let run_throughput () =
-  let impls : (string * (module Snapshot.S)) list =
-    [
-      ("afek", (module Mc_afek));
-      ("fig1", (module Mc_fig1));
-      ("fig3", (module Mc_fig3));
-      ("farray", (module Mc_farray));
-      ("sharded-4xfig3", (module Mc_sharded_fig3));
-    ]
+  let impls =
+    flat
+    @ [
+        ( "sharded-4xfig3",
+          Mc.sharded ~shards:4 ~partition:`Round_robin ~mode:`Validated );
+      ]
   in
   Table.print
     (Table.make

@@ -23,37 +23,10 @@ module Campaign = Psnap_harness.Campaign
 module Scenarios = Psnap_harness.Scenarios
 
 let run config =
-  try
-    let (Scenarios.Any t) = Scenarios.of_config config in
-    Campaign.run config t
-  with Scenario.Usage msg ->
-    prerr_endline msg;
-    2
+  let (Scenarios.Any t) = Scenarios.of_config config in
+  Campaign.run config t
 
-open Cmdliner
-
-let arg : type a. a Scenario.kind -> a -> Arg.info -> a Arg.t =
- fun kind default info ->
-  match kind with
-  | Switch -> Arg.flag info
-  | Int -> Arg.opt Arg.int default info
-  | Float -> Arg.opt Arg.float default info
-  | Text -> Arg.opt Arg.string default info
-  | Some_int -> Arg.opt Arg.(some int) default info
-  | Some_text -> Arg.opt Arg.(some string) default info
-
-(* Each option sets its field of the configuration. *)
-let config =
-  List.fold_left
-    (fun config (Scenario.Flag f) ->
-      let info = Arg.info [ f.name ] ~docv:f.docv ~doc:f.doc in
-      let value = Arg.value (arg f.kind (f.get Scenario.default) info) in
-      Term.(const f.set $ config $ value))
-    (Term.const Scenario.default) Scenarios.flags
-
-let cmd =
-  Cmd.v
-    (Cmd.info "simulate" ~doc:"drive partial snapshot workloads in the simulator")
-    Term.(const run $ config)
-
-let () = exit (Cmd.eval' cmd)
+let () =
+  Scenario.main ~name:"simulate"
+    ~doc:"drive partial snapshot workloads in the simulator" Scenario.default
+    Scenarios.flags run

@@ -2,12 +2,17 @@
 
     The paper's objects — partial snapshots (Section 2.1) and active sets —
     are provided as functors over a shared-memory backend, plus pre-applied
-    instances for the two backends:
+    instances of Figure 3 (with Figure 2's active set and the MVCC layer
+    over it) for the two backends:
 
     - {!Sim_*}: the step-counting simulator (use inside
       {!Sim.run}); this is the backend on which the paper's complexity
       theorems are validated.
     - {!Mc_*}: OCaml 5 atomics, for real multi-domain programs.
+
+    Every other algorithm, and every layered stack (sharded, resilient,
+    durable, txn), is one functor application away, or comes ready-made
+    from the stack registry [Psnap_harness.Stack] by name.
 
     Quick start (multicore backend):
     {[
@@ -181,110 +186,16 @@ end
 (* ---- Pre-applied instances: simulator backend ---- *)
 
 module Sim_aset_fai = Psnap_activeset.Fai_cas.Make (Mem.Sim)
-module Sim_aset_fai_small = Psnap_activeset.Fai_cas_small.Make (Mem.Sim)
 module Sim_aset_bounded = Psnap_activeset.Bounded.Make (Mem.Sim)
-module Sim_aset_farray = Psnap_snapshot.Farray_activeset.Make (Mem.Sim)
 module Sim_aset_splitter = Psnap_activeset.Splitter_tree.Make (Mem.Sim)
-module Sim_fig1 = Psnap_snapshot.Partial_register.Make (Mem.Sim) (Sim_aset_bounded)
-
-(** Figure 1 exactly as Section 3 prescribes: registers only, with an
-    {e adaptive} active set in the spirit of [3]. *)
-module Sim_fig1_adaptive =
-  Psnap_snapshot.Partial_register.Make (Mem.Sim) (Sim_aset_splitter)
 module Sim_fig3 = Psnap_snapshot.Partial_cas.Make (Mem.Sim) (Sim_aset_fai)
-module Sim_afek = Psnap_snapshot.Afek.Make (Mem.Sim)
-module Sim_farray = Psnap_snapshot.Farray_snapshot.Make (Mem.Sim)
-module Sim_nonblocking = Psnap_snapshot.Partial_nonblocking.Make (Mem.Sim)
 module Sim_single_scanner = Psnap_snapshot.Single_scanner.Make (Mem.Sim)
 
-(** Small-registers variants (the remarks after Theorems 1-3). *)
-module Sim_fig1_small =
-  Psnap_snapshot.Partial_register.Make_small (Mem.Sim) (Sim_aset_bounded)
-
-module Sim_fig3_small =
-  Psnap_snapshot.Partial_cas.Make_small (Mem.Sim) (Sim_aset_fai_small)
-
-(** Ablation: Figure 3's snapshot machinery with the non-adaptive bounded
-    active set instead of Figure 2's. *)
-module Sim_fig3_bounded_aset =
-  Psnap_snapshot.Partial_cas.Make (Mem.Sim) (Sim_aset_bounded)
-
-(** Figure 3 sharded 4 ways (validated cross-shard scans, round-robin
-    placement) on the simulator — the instance the chaos campaigns and
-    [Lin_check] tests exercise; build other geometries directly with
-    {!Runtime.Sharded.Make}. *)
-module Sim_sharded_fig3 =
-  Psnap_runtime.Sharded.Make (Mem.Sim) (Sim_fig3)
-    (struct
-      let shards = 4
-      let partition = `Round_robin
-      let mode = `Validated
-    end)
-
-(* ---- Hardened instances: the same algorithms over fault-tolerant
-   registers (docs/MODEL.md §9, EXPERIMENTS.md E15).  Logical step counts
-   are unchanged; each logical access costs several simulator steps. ---- *)
-
-module Sim_aset_fai_hardened =
-  Psnap_activeset.Fai_cas.Make (Mem.Sim_replicated)
-
-module Sim_aset_bounded_hardened =
-  Psnap_activeset.Bounded.Make (Mem.Sim_replicated)
-
-(** Figure 3 over 3-fold replicated registers: survives seeded memory-fault
-    storms that produce non-linearizable histories on {!Sim_fig3}. *)
-module Sim_fig3_hardened =
-  Psnap_snapshot.Partial_cas.Make (Mem.Sim_replicated) (Sim_aset_fai_hardened)
-
-(** Figure 1 over 3-fold replicated registers. *)
-module Sim_fig1_hardened =
-  Psnap_snapshot.Partial_register.Make
-    (Mem.Sim_replicated)
-    (Sim_aset_bounded_hardened)
-
-module Sim_aset_fai_selfcheck =
-  Psnap_activeset.Fai_cas.Make (Mem.Sim_selfcheck)
-
-(** Figure 3 over single-cell self-validating registers: detects and
-    repairs corruption without replication (but cannot survive stuck
-    cells). *)
-module Sim_fig3_selfcheck =
-  Psnap_snapshot.Partial_cas.Make (Mem.Sim_selfcheck) (Sim_aset_fai_selfcheck)
-
-(** The resilient serving layer on the simulator (docs/MODEL.md §11,
-    EXPERIMENTS.md E17): Figure 3 over self-validating registers as the
-    primary per-shard implementation, healed shards rebuilt on Figure 3
-    over 3-fold replicated registers.  Spine cells (shard pointers, epoch
-    sources, inflight counters) are plain simulator cells, so the chaos
-    campaigns can target them by name (["rshard0.epoch"], ...).  Build
-    other geometries and budgets directly with {!Runtime.Resilient.Make}. *)
-module Sim_resilient_fig3 =
-  Psnap_runtime.Resilient.Make (Mem.Sim) (Sim_fig3_selfcheck)
-    (Sim_fig3_hardened)
-    (struct
-      let shards = 4
-      let partition = `Round_robin
-      let max_rounds = 6
-      let backoff_base = 2
-      let backoff_max = 16
-      let breaker_threshold = 3
-      let breaker_cooldown = 4
-      let probe_successes = 2
-      let heal_quiesce = 64
-    end)
-
-(** Figure 3 made failure-atomically durable under the simulator: a
-    write-ahead log + checkpoints on the fault-injectable simulated
-    device (docs/MODEL.md §13). *)
-module Sim_durable_fig3 =
-  Psnap_persist.Durable.Make (Mem.Sim) (Sim_fig3)
-    (Psnap_persist.Storage.Sim)
-
-(** The MVCC transactional store over Figure 3 on the simulator — the
-    instance the [--impl txn] chaos campaigns, the SI-oracle tests and the
-    committed e20 witness drive: version chains in Figure 3 components,
-    Figure 2's active set as the in-flight committer list
-    (docs/MODEL.md §15, EXPERIMENTS.md E20). *)
+(** The MVCC transactional store over Figure 3 on the simulator: version
+    chains in Figure 3 components, Figure 2's active set as the in-flight
+    committer list (docs/MODEL.md §15, EXPERIMENTS.md E20).  The
+    [--impl txn] campaigns build the same stack from the stack registry
+    ([Psnap_harness.Stack]). *)
 module Sim_txn_fig3 = Psnap_txn.Txn.Make (Mem.Sim) (Sim_fig3) (Sim_aset_fai)
 
 (* ---- Distributed backend (docs/MODEL.md §14): ABD quorum registers
@@ -304,63 +215,19 @@ module Net = struct
   exception Unavailable = Psnap_net.Net_abd.Unavailable
 end
 
-module Sim_net_aset_fai = Psnap_activeset.Fai_cas.Make (Psnap_net.Net_abd.Sim_mem)
-
-(** Figure 3 over replicated ABD quorum registers on the simulator — the
-    instance the [--mem net] chaos campaigns drive: every base-object
-    access becomes a bounded quorum operation against [--replicas]
-    crash-prone replicas, and the whole thing stays linearizable under
-    partitions, duplication and reordering (EXPERIMENTS.md E19). *)
-module Sim_net_fig3 =
-  Psnap_snapshot.Partial_cas.Make (Psnap_net.Net_abd.Sim_mem) (Sim_net_aset_fai)
-
 module Mc_net_aset_fai = Psnap_activeset.Fai_cas.Make (Psnap_net.Net_abd.Mc_mem)
 
 (** Figure 3 over the multicore ABD cluster (replica domains + inbox
-    queues) — what the loadgen's [--mem net] drives to price quorum
-    round-trips against raw shared memory. *)
+    queues), for pricing quorum round-trips against raw shared memory. *)
 module Mc_net_fig3 =
   Psnap_snapshot.Partial_cas.Make (Psnap_net.Net_abd.Mc_mem) (Mc_net_aset_fai)
 
 (* ---- Pre-applied instances: multicore (Atomic) backend ---- *)
 
 module Mc_aset_fai = Psnap_activeset.Fai_cas.Make (Mem.Atomic)
-module Mc_aset_fai_small = Psnap_activeset.Fai_cas_small.Make (Mem.Atomic)
-module Mc_aset_bounded = Psnap_activeset.Bounded.Make (Mem.Atomic)
-module Mc_aset_splitter = Psnap_activeset.Splitter_tree.Make (Mem.Atomic)
-module Mc_fig1 = Psnap_snapshot.Partial_register.Make (Mem.Atomic) (Mc_aset_bounded)
-
-module Mc_fig1_adaptive =
-  Psnap_snapshot.Partial_register.Make (Mem.Atomic) (Mc_aset_splitter)
-
-module Mc_fig1_small =
-  Psnap_snapshot.Partial_register.Make_small (Mem.Atomic) (Mc_aset_bounded)
 
 module Mc_fig3 = Psnap_snapshot.Partial_cas.Make (Mem.Atomic) (Mc_aset_fai)
 
-module Mc_fig3_small =
-  Psnap_snapshot.Partial_cas.Make_small (Mem.Atomic) (Mc_aset_fai_small)
-
-module Mc_afek = Psnap_snapshot.Afek.Make (Mem.Atomic)
-module Mc_farray = Psnap_snapshot.Farray_snapshot.Make (Mem.Atomic)
-
-(** Figure 3 sharded 4 ways on real atomics; the loadgen CLI builds
-    arbitrary shard counts at runtime. *)
-module Mc_sharded_fig3 =
-  Psnap_runtime.Sharded.Make (Mem.Atomic) (Mc_fig3)
-    (struct
-      let shards = 4
-      let partition = `Round_robin
-      let mode = `Validated
-    end)
-
-(** Figure 3 made durable on real atomics, logging through the
-    mutex-guarded multicore device — what the loadgen's [--impl durable]
-    drives to price durability in the latency histograms. *)
-module Mc_durable_fig3 =
-  Psnap_persist.Durable.Make (Mem.Atomic) (Mc_fig3) (Psnap_persist.Storage.Mc)
-
-(** The MVCC transactional store over Figure 3 on real atomics — what the
-    loadgen's [--impl txn] drives: a zipf read-mostly transaction mix with
-    commit/abort/retry accounting (EXPERIMENTS.md E20). *)
+(** The MVCC transactional store over Figure 3 on real atomics
+    (EXPERIMENTS.md E20). *)
 module Mc_txn_fig3 = Psnap_txn.Txn.Make (Mem.Atomic) (Mc_fig3) (Mc_aset_fai)

@@ -13,6 +13,9 @@ type runner = ?seeds:int -> unit -> Table.t
 
 let default_seeds = 12
 
+(* A flat algorithm from the simulator's stack registry. *)
+let sim name = List.assoc name Scenarios.Sim_stack.bases
+
 (* ---- E1: Figure 1 + Theorem 1 ---- *)
 
 (* scan steps <= announce(1) + join(1) + collects * r + leave(1), with
@@ -28,7 +31,7 @@ let e1 ?(seeds = default_seeds) () =
           (fun r ->
             let cfg =
               {
-                Workload.impl = Instance.sim_fig1;
+                Workload.impl = sim "fig1";
                 m;
                 updaters;
                 updates = 20;
@@ -159,7 +162,7 @@ let e2 ?(seeds = default_seeds) () =
 
 let fig3_cfg ~m ~updaters ~r ~seeds =
   {
-    Workload.impl = Instance.sim_fig3;
+    Workload.impl = sim "fig3";
     m;
     updaters;
     updates = 30;
@@ -252,7 +255,7 @@ let e3c ?(seeds = default_seeds) () =
 
 let e4 ?(seeds = default_seeds) () =
   let r = 8 in
-  let impls = Instance.sim_all in
+  let impls = List.map sim [ "afek"; "fig1"; "fig3" ] in
   let row_of_m m =
     Table.i m
     :: List.concat_map
@@ -280,7 +283,8 @@ let e4 ?(seeds = default_seeds) () =
   Table.make
     ~title:
       "E4  Partial scan cost vs m (r=8): full-snapshot baseline grows, Figures 1/3 stay flat"
-    ~header:("m" :: List.map (fun i -> i.Instance.name ^ " scan mean") impls)
+    ~header:
+      ("m" :: List.map (fun (module S : Snapshot.S) -> S.name ^ " scan mean") impls)
     rows
 
 (* ---- E5: crossover when r approaches m ---- *)
@@ -312,10 +316,10 @@ let e5 ?(seeds = default_seeds) () =
       in
       Workload.run cfg
     in
-    let fig3_rand = run Instance.sim_fig3 ~adversarial:false in
-    let afek_rand = run Instance.sim_afek ~adversarial:false in
-    let fig3_worst = run Instance.sim_fig3 ~adversarial:true in
-    let afek_worst = run Instance.sim_afek ~adversarial:true in
+    let fig3_rand = run (sim "fig3") ~adversarial:false in
+    let afek_rand = run (sim "afek") ~adversarial:false in
+    let fig3_worst = run (sim "fig3") ~adversarial:true in
+    let afek_worst = run (sim "afek") ~adversarial:true in
     [
       Table.i r;
       Table.f1 (Workload.mean_steps fig3_rand "scan");
@@ -353,7 +357,9 @@ let e6 ?seeds () =
   let r = 4 in
   let m = r in
   let run_one impl ~updaters =
-    let obj = impl.Instance.create ~n:(updaters + 1) (Array.init m (fun i -> -i - 1)) in
+    let (module S : Snapshot.S) = impl in
+    let t = S.create ~n:(updaters + 1) (Array.init m (fun i -> -i - 1)) in
+    let hs = Array.init (updaters + 1) (fun pid -> S.handle t ~pid) in
     let idxs = Array.init r (fun i -> i) in
     let done_counts = Array.make updaters 0 in
     let worst = ref 0 in
@@ -361,13 +367,13 @@ let e6 ?seeds () =
       Array.init (updaters + 1) (fun pid ->
           if pid < updaters then fun () ->
             for k = 1 to 60 do
-              obj.Instance.update ~pid ((k + pid) mod m) ((pid * 1_000_000) + k);
+              S.update hs.(pid) ((k + pid) mod m) ((pid * 1_000_000) + k);
               done_counts.(pid) <- done_counts.(pid) + 1
             done
           else fun () ->
             for _ = 1 to 4 do
-              ignore (obj.Instance.scan ~pid idxs);
-              worst := max !worst (obj.Instance.last_collects ~pid)
+              ignore (S.scan hs.(pid) idxs);
+              worst := max !worst (S.last_scan_collects hs.(pid))
             done)
     in
     let scanner = updaters in
@@ -417,8 +423,8 @@ let e6 ?seeds () =
   let row_of_updaters updaters =
     [
       Table.i updaters;
-      Table.i (run_one Instance.sim_fig1 ~updaters);
-      Table.i (run_one Instance.sim_fig3 ~updaters);
+      Table.i (run_one (sim "fig1") ~updaters);
+      Table.i (run_one (sim "fig3") ~updaters);
       Table.i ((2 * r) + 1);
     ]
   in
@@ -551,7 +557,7 @@ let e9 ?(seeds = default_seeds) () =
               scan_idxs = None;
             }
         in
-        let fa = run Instance.sim_farray and f3 = run Instance.sim_fig3 in
+        let fa = run (sim "farray") and f3 = run (sim "fig3") in
         [
           Table.i m;
           Table.f1 (Workload.mean_steps fa "scan");
@@ -608,10 +614,10 @@ let e10 ?(seeds = default_seeds) () =
       "E10  Small-registers ablation: views in one large cell vs one register per pair (m=32, r=8, starved scanners)"
     ~header:[ "variant"; "scan mean"; "scan worst"; "upd mean"; "upd worst" ]
     [
-      row "fig1 large" (run Instance.sim_fig1);
-      row "fig1 small" (run Instance.sim_fig1_small);
-      row "fig3 large" (run Instance.sim_fig3);
-      row "fig3 small" (run Instance.sim_fig3_small);
+      row "fig1 large" (run (sim "fig1"));
+      row "fig1 small" (run (sim "fig1-small"));
+      row "fig3 large" (run (sim "fig3"));
+      row "fig3 small" (run (sim "fig3-small"));
     ]
 
 (* ---- E11: active set ablation inside Figure 3 ---- *)
@@ -637,8 +643,8 @@ let e11 ?(seeds = default_seeds) () =
               scan_idxs = None;
             }
         in
-        let fai = run Instance.sim_fig3
-        and bounded = run Instance.sim_fig3_bounded in
+        let fai = run (sim "fig3")
+        and bounded = run (sim "fig3-bounded-aset") in
         [
           Table.i (updaters + 2);
           Table.f1 (Workload.mean_steps fai "update");
@@ -698,7 +704,7 @@ let e12 ?seeds () =
     let o =
       Workload.run
         {
-          Workload.impl = Instance.sim_fig3;
+          Workload.impl = sim "fig3";
           m;
           updaters = 2;
           updates = 30;

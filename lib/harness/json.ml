@@ -14,3 +14,9 @@ let write path fields =
 let int = string_of_int
 
 let str s = Printf.sprintf "%S" s
+
+let i k v = (k, int v)
+
+let s k v = (k, str v)
+
+let o k = function Some v -> i k v | None -> (k, "null")

@@ -9,3 +9,11 @@ val write : string -> (string * string) list -> unit
 val int : int -> string
 
 val str : string -> string
+
+(** Fields: [(key, rendered value)]; [o] renders [None] as [null]. *)
+
+val i : string -> int -> string * string
+
+val s : string -> string -> string * string
+
+val o : string -> int option -> string * string

@@ -117,17 +117,18 @@ let clean_fig3 =
     describe = "fig3 snapshot, 2 updaters + 1 scanner: all state atomic";
     procs =
       (fun () ->
-        let obj = Instance.sim_fig3.Instance.create ~n:3 [| 0; 0; 0 |] in
+        let t = Sim_fig3.create ~n:3 [| 0; 0; 0 |] in
+        let hs = Array.init 3 (fun pid -> Sim_fig3.handle t ~pid) in
         [|
           (fun () ->
             for k = 1 to 3 do
-              obj.Instance.update ~pid:0 0 (10 + k)
+              Sim_fig3.update hs.(0) 0 (10 + k)
             done);
           (fun () ->
             for k = 1 to 3 do
-              obj.Instance.update ~pid:1 1 (20 + k)
+              Sim_fig3.update hs.(1) 1 (20 + k)
             done);
-          (fun () -> ignore (obj.Instance.scan ~pid:2 [| 0; 1 |]));
+          (fun () -> ignore (Sim_fig3.scan hs.(2) [| 0; 1 |]));
         |]);
   }
 

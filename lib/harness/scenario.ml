@@ -116,20 +116,80 @@ type _ kind =
   | Text : string kind
   | Switch : bool kind
   | Some_int : int option kind
+  | Some_float : float option kind
   | Some_text : string option kind
 
-(** One option of [bin/simulate.exe]: its flag, documentation and field of
-    {!config}. *)
-type flag =
+(** One option of a command line over configuration ['c]: its flag,
+    documentation and field. *)
+type 'c flag =
   | Flag : {
       name : string;
       docv : string;
       doc : string;
       kind : 'a kind;
-      get : config -> 'a;
-      set : config -> 'a -> config;
+      get : 'c -> 'a;
+      set : 'c -> 'a -> 'c;
     }
-      -> flag
+      -> 'c flag
+
+let flag kind name ?(docv = "VAL") doc get set =
+  Flag { name; docv; doc; kind; get; set }
+
+let choices what names = Printf.sprintf "%s: %s." what (String.concat ", " names)
+
+(** Raises {!Usage} for the first flag of [flags] that is not in [reads]
+    yet set away from its value in [default]: an option the selected
+    program would silently ignore. *)
+let reject_ignored flags ~default ~reads ~what c =
+  List.iter
+    (fun (Flag f) ->
+      if not (List.mem f.name reads || f.get c = f.get default) then
+        usage "--%s has no effect on %s; drop it" f.name what)
+    flags
+
+(** The command line over [flags]: each option sets its field of
+    [default]. *)
+let term default flags =
+  let open Cmdliner in
+  let arg : type a. a kind -> a -> Arg.info -> a Arg.t =
+   fun kind default info ->
+    match kind with
+    | Switch -> Arg.flag info
+    | Int -> Arg.opt Arg.int default info
+    | Float -> Arg.opt Arg.float default info
+    | Text -> Arg.opt Arg.string default info
+    | Some_int -> Arg.opt Arg.(some int) default info
+    | Some_float -> Arg.opt Arg.(some float) default info
+    | Some_text -> Arg.opt Arg.(some string) default info
+  in
+  List.fold_left
+    (fun config (Flag f) ->
+      let info = Arg.info [ f.name ] ~docv:f.docv ~doc:f.doc in
+      let value = Arg.value (arg f.kind (f.get default) info) in
+      Term.(const f.set $ config $ value))
+    (Term.const default) flags
+
+(** [parse default flags args] is the configuration the command line
+    [args] (without the program name) selects. *)
+let parse default flags args =
+  let open Cmdliner in
+  let cmd = Cmd.v (Cmd.info "parse") (term default flags) in
+  match Cmd.eval_value ~argv:(Array.of_list ("parse" :: args)) cmd with
+  | Ok (`Ok c) -> c
+  | _ -> invalid_arg ("Scenario.parse: " ^ String.concat " " args)
+
+(** The program [name] over [flags]: [run] maps the configuration to an
+    exit code; a {!Usage} error prints its message and exits 2. *)
+let main ~name ~doc default flags run =
+  let open Cmdliner in
+  let run c =
+    try run c
+    with Usage msg ->
+      prerr_endline msg;
+      2
+  in
+  let cmd = Cmd.v (Cmd.info name ~doc) Term.(const run $ term default flags) in
+  exit (Cmd.eval' cmd)
 
 (** The fault kinds of [--mem-faults] ("corrupt", "lose,stale", "all"),
     [None] for "none". *)

@@ -45,11 +45,11 @@ let snapshot_body c rec_ hist ?(attempt = fun f -> f ()) ~pid ~incarnation
 let observe c hist () =
   Snapshot_spec.check_observations ~init:(init c) (History.entries hist)
 
-let i k v = (k, Json.int v)
+let i = Json.i
 
-let s k v = (k, Json.str v)
+let s = Json.s
 
-let o k = function Some v -> i k v | None -> (k, "null")
+let o = Json.o
 
 let mem_flags = [ "mem-faults"; "mem-rate"; "mem-max" ]
 
@@ -62,42 +62,28 @@ let mem_fault_counters () =
 
 (* ---- flat: one snapshot object on simulated shared memory ---- *)
 
-let impls : (string * (module Snapshot.S)) list =
-  [
-    ("afek", (module Sim_afek));
-    ("fig1", (module Sim_fig1));
-    ("fig1-adaptive", (module Sim_fig1_adaptive));
-    ("fig1-small", (module Sim_fig1_small));
-    ("fig3", (module Sim_fig3));
-    ("fig3-small", (module Sim_fig3_small));
-    ("fig3-bounded-aset", (module Sim_fig3_bounded_aset));
-    ("farray", (module Sim_farray));
-    ("nonblocking", (module Sim_nonblocking));
-    ("fig1-hardened", (module Sim_fig1_hardened));
-    ("fig3-hardened", (module Sim_fig3_hardened));
-    ("fig3-selfcheck", (module Sim_fig3_selfcheck));
-  ]
+module Sim_stack = Stack.Make (Mem.Sim)
 
-let layered = [ "sharded"; "sharded-relaxed"; "resilient"; "durable"; "txn" ]
+(* The same stacks over fault-tolerant registers (docs/MODEL.md §9):
+   3-fold replicated cells, and single cells that validate themselves. *)
+module Replicated = Stack.Make (Mem.Sim_replicated)
+module Selfcheck = Stack.Make (Mem.Sim_selfcheck)
 
-let impl_names = List.map fst impls @ layered
+let impls =
+  Sim_stack.bases
+  @ [
+      ("fig1-hardened", List.assoc "fig1" Replicated.bases);
+      ("fig3-hardened", (module Replicated.Fig3 : Snapshot.S));
+      ("fig3-selfcheck", (module Selfcheck.Fig3));
+    ]
 
 let flat c =
   let sharded = c.impl = "sharded" || c.impl = "sharded-relaxed" in
   let (module S : Snapshot.S) =
     if sharded then
-      (module Runtime.Sharded.Make (Mem.Sim) (Sim_fig3)
-                (struct
-                  let shards = c.shards
-                  let partition = `Round_robin
-                  let mode = if c.impl = "sharded" then `Validated else `Relaxed
-                end))
-    else
-      match List.assoc_opt c.impl impls with
-      | Some m -> m
-      | None ->
-        usage "unknown --impl %S (choose from: %s)" c.impl
-          (String.concat ", " impl_names)
+      Sim_stack.sharded ~shards:c.shards ~partition:`Round_robin
+        ~mode:(if c.impl = "sharded" then `Validated else `Relaxed)
+    else Stack.choose impls c.impl
   in
   let n = c.updaters + c.scanners in
   let worst = ref 0 in
@@ -162,17 +148,11 @@ let flat c =
 
 let resilient c =
   let module RS =
-    Runtime.Resilient.Make (Mem.Sim) (Sim_fig3_selfcheck) (Sim_fig3_hardened)
+    Sim_stack.Resilient (Selfcheck.Fig3) (Replicated.Fig3)
       (struct
         let shards = c.shards
         let partition = `Round_robin
         let max_rounds = c.max_rounds
-        let backoff_base = 2
-        let backoff_max = 16
-        let breaker_threshold = 3
-        let breaker_cooldown = 4
-        let probe_successes = 2
-        let heal_quiesce = 64
       end)
   in
   let n = c.updaters + c.scanners in
@@ -328,7 +308,7 @@ let power_nemesis mode ~seed w =
   | `Storm -> Scheduler.power_storm ~seed w
 
 let durable c =
-  let module D = Sim_durable_fig3 in
+  let module D = Sim_stack.Durable (Persist.Storage.Sim) in
   let module St = Persist.Storage.Sim in
   let write_ahead =
     choose "--wal-mode" [ ("write-ahead", true); ("late-log", false) ] c.wal_mode
@@ -428,7 +408,7 @@ let durable c =
    oracle catches lost updates. *)
 
 let txn c =
-  let module T = Sim_txn_fig3 in
+  let module T = Sim_stack.Txn in
   let mode =
     match Txn.mode_of_string c.txn_mode with
     | Some mode -> mode
@@ -554,14 +534,7 @@ let net_nemesis c ~nodes ~replica0 =
     ]
     c.net_nemesis
 
-let net_impls : (string * (module Snapshot.S)) list =
-  let module Aset = Active_set.Bounded (A.Sim_mem) in
-  [
-    ("fig3", (module Sim_net_fig3));
-    ("fig1", (module Snapshot.Fig1 (A.Sim_mem) (Aset)));
-    ("afek", (module Snapshot.Afek (A.Sim_mem)));
-    ("nonblocking", (module Snapshot.Nonblocking (A.Sim_mem)));
-  ]
+module Net_stack = Stack.Make (A.Sim_mem)
 
 (* The snapshot workload over ABD quorum registers served by [replicas]
    replica fibers: crash nemeses may hit clients (their restart closes
@@ -573,7 +546,7 @@ let net_impls : (string * (module Snapshot.S)) list =
    checker admits — and the client carries on. *)
 let net c =
   let (module S : Snapshot.S) =
-    choose "--impl (under --mem net)" net_impls c.impl
+    choose "--impl (under --mem net)" Net_stack.bases c.impl
   in
   let mode = choose "--net-mode" [ ("abd", A.Abd); ("weak", A.Weak) ] c.net_mode in
   if c.replicas < 1 then usage "--replicas must be >= 1";
@@ -871,14 +844,12 @@ let reconfig c =
 
 (* ---- the command line ---- *)
 
-let flag kind name ?(docv = "VAL") doc get set =
-  Flag { name; docv; doc; kind; get; set }
-
-let choices what names = Printf.sprintf "%s: %s." what (String.concat ", " names)
+let flag kind name ?docv doc (get : config -> _) = flag kind name ?docv doc get
 
 let flags =
   [
-    flag Text "impl" ~docv:"NAME" (choices "Implementation" impl_names)
+    flag Text "impl" ~docv:"NAME"
+      (choices "Implementation" (List.map fst impls @ Stack.layered))
       (fun c -> c.impl)
       (fun c impl -> { c with impl });
     flag Int "shards" ~docv:"S"
@@ -1088,7 +1059,7 @@ let select c =
   if c.reconfig <> "off" then Any (reconfig c)
   else
     match c.mem with
-    | "net" when List.mem c.impl layered ->
+    | "net" when List.mem c.impl Stack.layered ->
       usage "--mem net does not support --impl %s" c.impl
     | "net" -> Any (net c)
     | "sim" -> (
@@ -1101,10 +1072,7 @@ let select c =
 
 let of_config c =
   let (Any t) as any = select c in
-  List.iter
-    (fun (Flag f) ->
-      let read = List.mem f.name common || List.mem f.name t.reads in
-      if not (read || f.get c = f.get default) then
-        usage "--%s has no effect on the %s campaign; drop it" f.name t.name)
-    flags;
+  reject_ignored flags ~default ~reads:(common @ t.reads)
+    ~what:(Printf.sprintf "the %s campaign" t.name)
+    c;
   any

@@ -46,11 +46,14 @@ module Reg_lin : module type of Lin_check.Make (Reg_spec)
     linearizability with [--check]. *)
 val reconfig : Scenario.config -> string Scenario.t
 
+(** The stack registry over the simulator's shared memory. *)
+module Sim_stack : module type of Stack.Make (Mem.Sim)
+
 (** {2 The command line} *)
 
 (** Every option of [bin/simulate.exe]; defaults come from
     {!Scenario.default}. *)
-val flags : Scenario.flag list
+val flags : Scenario.config Scenario.flag list
 
 type any = Any : 'v Scenario.t -> any
 

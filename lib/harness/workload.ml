@@ -8,7 +8,7 @@
 open Psnap
 
 type config = {
-  impl : Instance.t;
+  impl : (module Snapshot.S);
   m : int;
   updaters : int;
   updates : int;  (** per updater *)
@@ -40,7 +40,9 @@ let scan_set ~m ~r j =
 
 let run_one cfg seed =
   let n = cfg.updaters + cfg.scanners in
-  let obj = cfg.impl.Instance.create ~n (Array.init cfg.m (fun i -> -i - 1)) in
+  let (module S) = cfg.impl in
+  let t = S.create ~n (Array.init cfg.m (fun i -> -i - 1)) in
+  let hs = Array.init n (fun pid -> S.handle t ~pid) in
   let rec_ = Metrics.create () in
   let worst_collects = ref 0 in
   let range = Option.value cfg.update_range ~default:cfg.m in
@@ -48,7 +50,7 @@ let run_one cfg seed =
     for k = 1 to cfg.updates do
       let i = (k + (pid * 7)) mod range in
       Metrics.measure rec_ ~pid ~kind:"update" (fun () ->
-          obj.Instance.update ~pid i ((pid * 1_000_000) + k))
+          S.update hs.(pid) i ((pid * 1_000_000) + k))
     done
   in
   let scanner pid () =
@@ -59,8 +61,8 @@ let run_one cfg seed =
     in
     for _ = 1 to cfg.scans do
       Metrics.measure rec_ ~pid ~kind:"scan" (fun () ->
-          ignore (obj.Instance.scan ~pid idxs));
-      worst_collects := max !worst_collects (obj.Instance.last_collects ~pid)
+          ignore (S.scan hs.(pid) idxs));
+      worst_collects := max !worst_collects (S.last_scan_collects hs.(pid))
     done
   in
   let procs =

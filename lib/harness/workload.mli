@@ -8,7 +8,7 @@
 open Psnap
 
 type config = {
-  impl : Instance.t;
+  impl : (module Snapshot.S);
   m : int;
   updaters : int;
   updates : int;  (** per updater *)

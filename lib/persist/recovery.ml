@@ -25,16 +25,17 @@ let replay ~init records =
   (* The last complete begin/seal/end triple: walk once recording where
      each generation's begin and seal appeared, then keep the last end
      whose generation has both, earlier. *)
-  let begins = Hashtbl.create 4 and seals = Hashtbl.create 4 in
+  let module Gens = Hashtbl.Make (Int) in
+  let begins = Gens.create 4 and seals = Gens.create 4 in
   let chosen = ref None in
   Array.iteri
     (fun at r ->
       match r with
       | Wal.Checkpoint_begin { gen; next_lsn } ->
-        Hashtbl.replace begins gen (at, next_lsn)
-      | Wal.Scan_seal { gen; payload } -> Hashtbl.replace seals gen (at, payload)
+        Gens.replace begins gen (at, next_lsn)
+      | Wal.Scan_seal { gen; payload } -> Gens.replace seals gen (at, payload)
       | Wal.Checkpoint_end { gen } -> (
-        match (Hashtbl.find_opt begins gen, Hashtbl.find_opt seals gen) with
+        match (Gens.find_opt begins gen, Gens.find_opt seals gen) with
         | Some (b, next_lsn), Some (s, payload) when b < at && s < at ->
           chosen := Some (at, gen, next_lsn, payload)
         | _ -> ())

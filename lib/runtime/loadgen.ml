@@ -90,11 +90,20 @@ let throughput rep =
   if rep.elapsed_s <= 0.0 then 0.0
   else float_of_int (rep.updates + rep.scans) /. rep.elapsed_s
 
+(* open loop: one arrival every [interval_ns] per domain *)
+let interval_ns cfg =
+  match cfg.loop with
+  | Closed -> 0
+  | Open_rate rate -> int_of_float (1e9 *. float_of_int cfg.domains /. rate)
+
 let validate cfg =
   if cfg.m < 1 then invalid_arg "Loadgen: m < 1";
   if cfg.r < 1 || cfg.r > cfg.m then invalid_arg "Loadgen: need 1 <= r <= m";
   if cfg.domains < 1 then invalid_arg "Loadgen: domains < 1";
   if cfg.duration_s <= 0.0 then invalid_arg "Loadgen: duration <= 0";
+  (match cfg.dist with
+  | Zipfian theta when theta < 0.0 -> invalid_arg "Loadgen: zipf theta < 0"
+  | _ -> ());
   (match cfg.mix with
   | Ratio p when p < 0.0 || p > 1.0 -> invalid_arg "Loadgen: mix not in [0,1]"
   | Dedicated { updaters; scanners } ->
@@ -103,6 +112,8 @@ let validate cfg =
   | Ratio _ -> ());
   match cfg.loop with
   | Open_rate r when r <= 0.0 -> invalid_arg "Loadgen: open-loop rate <= 0"
+  | Open_rate _ when interval_ns cfg < 1 ->
+    invalid_arg "Loadgen: open-loop rate above 1e9 * domains ops/s"
   | _ -> ()
 
 let run (module S : Psnap_snapshot.Snapshot_intf.S) cfg =
@@ -135,12 +146,7 @@ let run (module S : Psnap_snapshot.Snapshot_intf.S) cfg =
     (* open loop: arrivals every [interval] ns per domain, latency measured
        from the scheduled arrival (coordinated-omission-aware: if the
        object is slow, queued arrivals inflate the reported latency) *)
-    let interval =
-      match cfg.loop with
-      | Closed -> 0
-      | Open_rate rate ->
-        int_of_float (1e9 *. float_of_int cfg.domains /. rate)
-    in
+    let interval = interval_ns cfg in
     let next = ref (t0 + (pid * 1000)) in
     while not (Atomic.get stop) do
       let issue_t =

@@ -75,9 +75,13 @@ type report = {
   scan_lat : Histogram.t;
 }
 
-val run : (module Psnap_snapshot.Snapshot_intf.S) -> config -> report
+val validate : config -> unit
 (** @raise Invalid_argument on inconsistent configs (r > m, mix outside
-    [0,1], dedicated roles not summing to [domains], ...). *)
+    [0,1], dedicated roles not summing to [domains], an open-loop rate
+    whose per-domain arrival interval rounds to 0 ns, ...). *)
+
+val run : (module Psnap_snapshot.Snapshot_intf.S) -> config -> report
+(** Runs {!validate} first. *)
 
 val throughput : report -> float
 (** Recorded operations per measured second. *)

@@ -148,12 +148,17 @@ type fault_counters = {
 
 let zero_counters = { injected = 0; absorbed = 0; fired = 0 }
 
-let counters : (Event.fault_kind, fault_counters) Hashtbl.t = Hashtbl.create 4
+let slot : Event.fault_kind -> int = function
+  | Lost_write -> 0
+  | Stale_read -> 1
+  | Corrupt -> 2
+  | Stuck_cell -> 3
 
-let counters_for kind =
-  Option.value (Hashtbl.find_opt counters kind) ~default:zero_counters
+let counters = Array.make 4 zero_counters
 
-let bump kind f = Hashtbl.replace counters kind (f (counters_for kind))
+let counters_for kind = counters.(slot kind)
+
+let bump kind f = counters.(slot kind) <- f (counters_for kind)
 
 let note_injected kind = bump kind (fun c -> { c with injected = c.injected + 1 })
 
@@ -163,7 +168,7 @@ let note_fired kind = bump kind (fun c -> { c with fired = c.fired + 1 })
 
 let fault_counts = counters_for
 
-let reset_fault_counts () = Hashtbl.reset counters
+let reset_fault_counts () = Array.fill counters 0 4 zero_counters
 
 (* Cell oid -> fault applier.  Registration is opt-in: the registry roots
    every registered cell, so harnesses that construct millions of
@@ -172,11 +177,13 @@ let reset_fault_counts () = Hashtbl.reset counters
    workload via [Sim.reset_prerun_oids]), so [replace] keeps exactly one
    applier per live oid; an entry left over from a dead run targets a
    dead cell, whose mutation is unobservable. *)
-let registry : (int, Event.fault_kind -> bool) Hashtbl.t = Hashtbl.create 256
+module Oid_tbl = Hashtbl.Make (Int)
+
+let registry : (Event.fault_kind -> bool) Oid_tbl.t = Oid_tbl.create 256
 
 let set_fault_tracking b =
   tracking := b;
-  Hashtbl.reset registry
+  Oid_tbl.reset registry
 
 let fault_tracking () = !tracking
 
@@ -213,7 +220,7 @@ let dispatch kind oid =
     failwith
       "Mem_sim: memory-fault decision but fault tracking is off (call \
        Mem_sim.set_fault_tracking true before building the workload)";
-  match Hashtbl.find_opt registry oid with
+  match Oid_tbl.find_opt registry oid with
   | None ->
     note_absorbed kind;
     false
@@ -244,7 +251,7 @@ let alloc ~plain name v =
       plain;
     }
   in
-  if !tracking then Hashtbl.replace registry r.oid (apply_fault_to r);
+  if !tracking then Oid_tbl.replace registry r.oid (apply_fault_to r);
   r
 
 let make ?(name = "r") v = alloc ~plain:false name v

@@ -55,15 +55,16 @@ type cell = {
           at the read, the access) *)
 }
 
+module Oid_tbl = Hashtbl.Make (Int)
+
 type state = {
   n : int;
   clocks : Vclock.t array;  (** per-pid current clock *)
-  sync : (int, Vclock.t) Hashtbl.t;  (** oid -> published release clock *)
-  cells : (int, cell) Hashtbl.t;  (** plain cells, lazily on first access *)
-  mutable reports : report list;  (** reversed *)
-  seen : (int * int * int * kind, unit) Hashtbl.t;
-      (** (oid, first pid, second pid, kind): one report per racing pair,
-          not one per iteration of a racy loop *)
+  sync : Vclock.t Oid_tbl.t;  (** oid -> published release clock *)
+  cells : cell Oid_tbl.t;  (** plain cells, lazily on first access *)
+  mutable reports : report list;
+      (** reversed; one per (oid, first pid, second pid, kind), not one
+          per iteration of a racy loop *)
 }
 
 let state : state option ref = ref None
@@ -75,10 +76,9 @@ let enable ~n () =
       {
         n;
         clocks = Array.init n (fun _ -> Vclock.make n);
-        sync = Hashtbl.create 64;
-        cells = Hashtbl.create 16;
+        sync = Oid_tbl.create 64;
+        cells = Oid_tbl.create 16;
         reports = [];
-        seen = Hashtbl.create 16;
       }
 
 let disable () = state := None
@@ -110,17 +110,19 @@ let on_sync ~oid ~pid ~acquire ~release =
   let s = get_state "Race.on_sync" in
   tick s pid;
   let l =
-    match Hashtbl.find_opt s.sync oid with
+    match Oid_tbl.find_opt s.sync oid with
     | Some l -> l
     | None -> Vclock.make s.n
   in
   if acquire then s.clocks.(pid) <- Vclock.join s.clocks.(pid) l;
-  if release then Hashtbl.replace s.sync oid (Vclock.join l s.clocks.(pid))
+  if release then Oid_tbl.replace s.sync oid (Vclock.join l s.clocks.(pid))
 
 let report s ~oid ~(cell : cell) ~kind ~first ~second =
-  let key = (oid, first.pid, second.pid, kind) in
-  if not (Hashtbl.mem s.seen key) then begin
-    Hashtbl.add s.seen key ();
+  let seen (r : report) =
+    Int.equal r.oid oid && Int.equal r.first.pid first.pid
+    && Int.equal r.second.pid second.pid && r.kind == kind
+  in
+  if not (List.exists seen s.reports) then begin
     s.reports <-
       { oid; name = cell.cname; kind; first; second } :: s.reports
   end
@@ -130,11 +132,11 @@ let on_plain ~oid ~name ~pid ~(op : op) =
   tick s pid;
   let c = s.clocks.(pid) in
   let cell =
-    match Hashtbl.find_opt s.cells oid with
+    match Oid_tbl.find_opt s.cells oid with
     | Some cell -> cell
     | None ->
       let cell = { cname = name; w = None; reads = Array.make s.n None } in
-      Hashtbl.add s.cells oid cell;
+      Oid_tbl.add s.cells oid cell;
       cell
   in
   let acc = { pid; op; clock = Sim.clock (); vclock = Vclock.copy c } in

@@ -71,6 +71,8 @@ type decision =
 
 type t = { name : string; pick : view -> decision }
 
+module Pid_tbl = Hashtbl.Make (Int)
+
 let name t = t.name
 
 let pick t view = t.pick view
@@ -253,7 +255,7 @@ let replay_decisions ?(lenient = false) ?fallback decisions =
     seed. *)
 let pct ~seed ?(depth = 3) ?(expected_steps = 2000) () =
   let st = Random.State.make [| seed |] in
-  let priorities : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let priorities = Pid_tbl.create 8 in
   let next_low = ref 0 in
   let change_points =
     List.init (max 0 (depth - 1)) (fun _ ->
@@ -262,12 +264,12 @@ let pct ~seed ?(depth = 3) ?(expected_steps = 2000) () =
   in
   let remaining = ref change_points in
   let priority p =
-    match Hashtbl.find_opt priorities p with
+    match Pid_tbl.find_opt priorities p with
     | Some x -> x
     | None ->
       (* initial priorities: random distinct positives *)
       let x = 1000 + Random.State.int st 1_000_000 in
-      Hashtbl.replace priorities p x;
+      Pid_tbl.replace priorities p x;
       x
   in
   let pick v =
@@ -287,7 +289,7 @@ let pct ~seed ?(depth = 3) ?(expected_steps = 2000) () =
       Option.iter
         (fun p ->
           decr next_low;
-          Hashtbl.replace priorities p !next_low)
+          Pid_tbl.replace priorities p !next_low)
         top
     | _ -> ());
     let best = ref runnable.(0) in
@@ -460,22 +462,22 @@ let with_crash_restart ~pid ~crash_at ~restart_after inner =
    table never scheduled (crashed by another nemesis) is adopted: due at
    once. *)
 let storm name st ~rate ~max ~victim ~due inner =
-  let table = Hashtbl.create 4 in
+  let table = Pid_tbl.create 4 in
   let restart_due v p =
     Array.length v.runnable = 0
-    || match Hashtbl.find_opt table p with Some c -> v.clock >= c | None -> true
+    || match Pid_tbl.find_opt table p with Some c -> v.clock >= c | None -> true
   in
   let kill =
     seeded st ~p:rate ~max (runnable_gt 1) (fun v ->
         let p = victim v in
-        Hashtbl.replace table p (due v);
+        Pid_tbl.replace table p (due v);
         Some (now [ Crash p ]))
   in
   nemesis name
     (fun v ->
       match Array.find_opt (restart_due v) v.crashed with
       | Some p ->
-        Hashtbl.remove table p;
+        Pid_tbl.remove table p;
         now [ Restart p ]
       | None -> kill v)
     inner

@@ -32,6 +32,8 @@
     publishing cost yet); a condition-(2) result is {!Borrowed} (a pointer
     to the helping update's published view). *)
 
+module Int_tbl = Hashtbl.Make (Int)
+
 module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) = struct
   type 'a cell = { v : 'a; view : 'a V.t; tag : Tag.t }
 
@@ -173,11 +175,11 @@ module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) = struct
       | Some _, Tag.Init ->
         assert false (* registers never revert to their initial value *)
       | Some _, Tag.W { pid; seq } -> (
-        let l = try Hashtbl.find fresh pid with Not_found -> [] in
+        let l = Option.value (Int_tbl.find_opt fresh pid) ~default:[] in
         if seen_seq seq l then None
         else
           let l = (seq, c.view) :: l in
-          Hashtbl.replace fresh pid l;
+          Int_tbl.replace fresh pid l;
           match l with
           | (s1, v1) :: (s2, v2) :: _ -> Some (if s1 > s2 then v1 else v2)
           | _ -> None))
@@ -203,8 +205,8 @@ module Make (M : Psnap_mem.Mem_intf.S) (V : View_repr.S) = struct
     in
     let[@psnap.local_state
          "scan-private table of observed changes per updating process"] fresh
-        : (int, (int * a V.t) list) Hashtbl.t =
-      Hashtbl.create 16
+        : (int * a V.t) list Int_tbl.t =
+      Int_tbl.create 16
     in
     scan_loop regs idxs (baseline, fresh) note_process
 

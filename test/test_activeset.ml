@@ -15,8 +15,8 @@ let impls : (string * (module ASET)) list =
   [
     ("bounded", (module Sim_aset_bounded));
     ("fai-cas", (module Sim_aset_fai));
-    ("fai-cas-small", (module Sim_aset_fai_small));
-    ("farray-aset", (module Sim_aset_farray));
+    ("fai-cas-small", (module Active_set.Fai_cas_small (Mem.Sim)));
+    ("farray-aset", (module Psnap_snapshot.Farray_activeset.Make (Mem.Sim)));
     ("splitter-tree", (module Sim_aset_splitter));
   ]
 

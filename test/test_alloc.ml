@@ -22,6 +22,7 @@
      txn transfer                                752.4 -> 635.2 *)
 
 open Psnap
+module Mc = Psnap_harness.Loadgen_cli.Mc_stack
 
 let ops = 2_000
 
@@ -63,7 +64,7 @@ let test_fig3_update () =
   gate "fig3 update" ~budget:90. (fun k -> Mc_fig3.update h (k land (m - 1)) k)
 
 let test_durable_update () =
-  let module D = Mc_durable_fig3 in
+  let module D = Mc.Durable (Persist.Storage.Mc) in
   let t =
     D.create_with
       ~config:{ D.checkpoint_every = 0; write_ahead = true }
@@ -73,17 +74,11 @@ let test_durable_update () =
   gate "durable update" ~budget:125. (fun k -> D.update h (k land (m - 1)) k)
 
 module Res =
-  Runtime.Resilient.Make (Mem.Atomic) (Mc_fig3) (Mc_fig3)
+  Mc.Resilient (Mc.Fig3) (Mc.Fig3)
     (struct
       let shards = 8
       let partition = `Range
       let max_rounds = 6
-      let backoff_base = 2
-      let backoff_max = 16
-      let breaker_threshold = 3
-      let breaker_cooldown = 4
-      let probe_successes = 2
-      let heal_quiesce = 64
     end)
 
 let test_resilient_scan () =

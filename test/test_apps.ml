@@ -4,7 +4,9 @@
 
 open Psnap
 module CA = Psnap_apps.Commit_adopt.Make (Sim_fig3)
-module CA_afek = Psnap_apps.Commit_adopt.Make (Sim_afek)
+module CA_afek =
+  Psnap_apps.Commit_adopt.Make
+    ((val List.assoc "afek" Psnap_harness.Scenarios.Sim_stack.bases))
 
 let check_bool = Alcotest.(check bool)
 

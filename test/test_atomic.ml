@@ -8,15 +8,18 @@ open Psnap
 
 module type SNAP = Snapshot.S
 
+(* A flat algorithm from the stack registry over real atomics. *)
+let mc name = List.assoc name Psnap_harness.Loadgen_cli.Mc_stack.bases
+
 let impls : (string * (module SNAP)) list =
   [
-    ("afek-full", (module Mc_afek));
-    ("fig1-reg", (module Mc_fig1));
+    ("afek-full", mc "afek");
+    ("fig1-reg", mc "fig1");
     ("fig3-cas", (module Mc_fig3));
-    ("fig1-adaptive", (module Mc_fig1_adaptive));
-    ("fig1-small", (module Mc_fig1_small));
-    ("fig3-small", (module Mc_fig3_small));
-    ("farray", (module Mc_farray));
+    ("fig1-adaptive", mc "fig1-adaptive");
+    ("fig1-small", mc "fig1-small");
+    ("fig3-small", mc "fig3-small");
+    ("farray", mc "farray");
   ]
 
 (* monotonic timestamps across domains *)
@@ -79,7 +82,7 @@ let test_domains_linearizable (module S : SNAP) () =
 let test_splitter_domains () =
   (* concurrent first-time acquisitions on real atomics: all six processes
      must end up with distinct owned nodes and be visible *)
-  let module Sp = Mc_aset_splitter in
+  let module Sp = Active_set.Splitter_tree (Mem.Atomic) in
   for _ = 1 to 20 do
     let t = Sp.create ~n:6 () in
     let domains =

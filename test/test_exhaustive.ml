@@ -8,12 +8,15 @@ open Psnap
 
 module type SNAP = Snapshot.S
 
+(* A flat algorithm from the stack registry over the simulator. *)
+let sim name = List.assoc name Psnap_harness.Scenarios.Sim_stack.bases
+
 let impls : (string * (module SNAP)) list =
   [
-    ("afek-full", (module Sim_afek));
-    ("fig1-reg", (module Sim_fig1));
+    ("afek-full", sim "afek");
+    ("fig1-reg", sim "fig1");
     ("fig3-cas", (module Sim_fig3));
-    ("farray", (module Sim_farray));
+    ("farray", sim "farray");
   ]
 
 let explored_label n = Printf.sprintf "schedules explored: %d" n
@@ -58,7 +61,7 @@ let test_update_vs_scan (module S : SNAP) () =
    so those algorithms get the two-process exhaustive tests plus the heavy
    randomized-schedule suites in test_snapshot.ml instead. *)
 let test_competing_updates_afek () =
-  let module S = Sim_afek in
+  let module S = (val sim "afek") in
   let init = [| -1 |] in
   let schedules = ref 0 in
   let make () =

@@ -4,7 +4,6 @@
 open Psnap
 module Table = Psnap_harness.Table
 module Workload = Psnap_harness.Workload
-module Instance = Psnap_harness.Instance
 module Experiments = Psnap_harness.Experiments
 
 let check_int = Alcotest.(check int)
@@ -13,7 +12,7 @@ let check_int = Alcotest.(check int)
 
 let base_cfg =
   {
-    Workload.impl = Instance.sim_fig3;
+    Workload.impl = (module Sim_fig3);
     m = 8;
     updaters = 2;
     updates = 5;
@@ -191,6 +190,37 @@ let test_rejects_ignored_flags () =
       ("--impl txn --crash-at 5", { d with impl = "txn"; crash_at = Some 5 });
     ]
 
+(* The loadgen's table: an ignored flag and a bad configuration are both
+   usage errors, raised before any domain starts. *)
+let test_loadgen_rejects () =
+  let module Cli = Psnap_harness.Loadgen_cli in
+  List.iter
+    (fun args ->
+      let config =
+        Scenario.parse Cli.default Cli.flags (String.split_on_char ' ' args)
+      in
+      match Cli.run config with
+      | _ -> Alcotest.failf "%s: accepted" args
+      | exception Scenario.Usage _ -> ())
+    [
+      (* flags the selected program does not read *)
+      "--impl fig3 --open-shard 0";
+      "--mem net --partition range";
+      "--reconfig-under-load --impl txn";
+      "--spares 3";
+      "--theta 0.5";
+      (* bad configurations *)
+      "--mix 1u+1s --domains 3";
+      "-r 0";
+      "-m 4 -r 8";
+      "--impl sharded --shards 0";
+      "--duration abc";
+      "--rate 1e12";
+      "--impl resilient --open-shard 8";
+      "--mem net --impl txn";
+      "--reconfig-under-load --kill 3";
+    ]
+
 let e17_witness =
   if Sys.file_exists "schedules/e17-sharded-relaxed.sched" then
     "schedules/e17-sharded-relaxed.sched"
@@ -299,6 +329,8 @@ let () =
         [
           Alcotest.test_case "rejects flags the scenario ignores" `Quick
             test_rejects_ignored_flags;
+          Alcotest.test_case "loadgen rejects ignored flags and bad configs"
+            `Quick test_loadgen_rejects;
           Alcotest.test_case "resilient replays a schedule file" `Quick
             test_resilient_replays;
           Alcotest.test_case "every summary has the common header" `Quick

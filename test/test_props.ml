@@ -9,6 +9,9 @@ open Psnap
 
 module type SNAP = Snapshot.S
 
+(* A flat algorithm from the stack registry over the simulator. *)
+let sim name = List.assoc name Psnap_harness.Scenarios.Sim_stack.bases
+
 module type ASET = Active_set.S
 
 type workload = {
@@ -244,22 +247,22 @@ let sort_uniq_long_prop =
 
 let snapshot_impls : (string * (module SNAP)) list =
   [
-    ("afek", (module Sim_afek));
-    ("fig1", (module Sim_fig1));
+    ("afek", sim "afek");
+    ("fig1", sim "fig1");
     ("fig3", (module Sim_fig3));
-    ("fig1-small", (module Sim_fig1_small));
-    ("fig3-small", (module Sim_fig3_small));
-    ("farray", (module Sim_farray));
-    ("nonblocking", (module Sim_nonblocking));
-    ("fig1-adaptive", (module Sim_fig1_adaptive));
+    ("fig1-small", sim "fig1-small");
+    ("fig3-small", sim "fig3-small");
+    ("farray", sim "farray");
+    ("nonblocking", sim "nonblocking");
+    ("fig1-adaptive", sim "fig1-adaptive");
   ]
 
 let aset_impls : (string * (module ASET)) list =
   [
     ("bounded", (module Sim_aset_bounded));
     ("fai-cas", (module Sim_aset_fai));
-    ("fai-cas-small", (module Sim_aset_fai_small));
-    ("farray-aset", (module Sim_aset_farray));
+    ("fai-cas-small", (module Active_set.Fai_cas_small (Mem.Sim)));
+    ("farray-aset", (module Psnap_snapshot.Farray_activeset.Make (Mem.Sim)));
     ("splitter-tree", (module Sim_aset_splitter));
   ]
 

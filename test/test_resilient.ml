@@ -6,7 +6,20 @@
 
 open Psnap
 module M = Mem.Sim
-module RS = Sim_resilient_fig3
+module Stack = Psnap_harness.Stack
+
+(* The campaigns' resilient stack: Figure 3 over self-validating registers
+   per shard, healed shards rebuilt over 3-fold replicated ones. *)
+module Selfcheck = Stack.Make (Mem.Sim_selfcheck)
+module Replicated = Stack.Make (Mem.Sim_replicated)
+
+module RS =
+  Psnap_harness.Scenarios.Sim_stack.Resilient (Selfcheck.Fig3) (Replicated.Fig3)
+    (struct
+      let shards = 4
+      let partition = `Round_robin
+      let max_rounds = 6
+    end)
 
 let () = M.set_strict true
 
@@ -332,18 +345,14 @@ let test_chaos_with_stuck_epochs () =
 
 (* ---- the Snap face drives the multicore load generator ---- *)
 
+module Mc = Psnap_harness.Loadgen_cli.Mc_stack
+
 module RS_mc =
-  Psnap.Runtime.Resilient.Make (Mem.Atomic) (Mc_fig3) (Mc_fig3)
+  Mc.Resilient (Mc.Fig3) (Mc.Fig3)
     (struct
       let shards = 4
       let partition = `Round_robin
       let max_rounds = 6
-      let backoff_base = 2
-      let backoff_max = 16
-      let breaker_threshold = 3
-      let breaker_cooldown = 4
-      let probe_successes = 2
-      let heal_quiesce = 64
     end)
 
 let test_snap_loadgen_smoke () =

@@ -180,14 +180,9 @@ let test_zipf_theta_zero_is_uniform () =
 
 (* ---- sharded snapshot: partitioners (sequential, Atomic backend) ---- *)
 
-let sharded_mc ~shards ~partition ~mode :
-    (module Snapshot.S) =
-  (module Psnap_runtime.Sharded.Make (Mem.Atomic) (Mc_fig3)
-            (struct
-              let shards = shards
-              let partition = partition
-              let mode = mode
-            end))
+module Mc = Psnap_harness.Loadgen_cli.Mc_stack
+
+let sharded_mc = Mc.sharded
 
 let roundtrip (module S : Snapshot.S) ~m =
   let t = S.create ~n:1 (Array.init m (fun i -> i * 100)) in
@@ -226,17 +221,11 @@ let test_partitioners_roundtrip () =
 
 let resilient_mc ~shards ~partition : (module Snapshot.S) =
   let module R =
-    Psnap_runtime.Resilient.Make (Mem.Atomic) (Mc_fig3) (Mc_fig3)
+    Mc.Resilient (Mc.Fig3) (Mc.Fig3)
       (struct
         let shards = shards
         let partition = partition
         let max_rounds = 6
-        let backoff_base = 2
-        let backoff_max = 16
-        let breaker_threshold = 3
-        let breaker_cooldown = 4
-        let probe_successes = 2
-        let heal_quiesce = 64
       end)
   in
   (module R.Snap)
@@ -315,26 +304,30 @@ let test_sharded_exact_lincheck () =
   for seed = 0 to 9 do
     let hist = History.create ~now:Sim.mark () in
     Sim.reset_prerun_oids ();
-    let t = Sim_sharded_fig3.create ~n:3 (Array.copy init) in
+    let module S =
+      (val Psnap_harness.Scenarios.Sim_stack.sharded ~shards:4
+             ~partition:`Round_robin ~mode:`Validated)
+    in
+    let t = S.create ~n:3 (Array.copy init) in
     let updater pid () =
-      let h = Sim_sharded_fig3.handle t ~pid in
+      let h = S.handle t ~pid in
       for k = 1 to 2 do
         let i = (k + pid) mod m in
         let v = (pid * 100) + k in
         ignore
           (History.record hist ~pid (Snapshot_spec.Update (i, v)) (fun () ->
-               Sim_sharded_fig3.update h i v;
+               S.update h i v;
                Snapshot_spec.Ack))
       done
     in
     let scanner pid () =
-      let h = Sim_sharded_fig3.handle t ~pid in
+      let h = S.handle t ~pid in
       (* indices 0 and 3 land in different shards under round-robin x4 *)
       let idxs = [| 0; 3 |] in
       for _ = 1 to 2 do
         ignore
           (History.record hist ~pid (Snapshot_spec.Scan idxs) (fun () ->
-               Snapshot_spec.Vals (Sim_sharded_fig3.scan h idxs)))
+               Snapshot_spec.Vals (S.scan h idxs)))
       done
     in
     ignore
@@ -474,6 +467,48 @@ let test_loadgen_validates_config () =
   check_bool "open-loop rate must be positive" true
     (bad { Loadgen.default with loop = Loadgen.Open_rate 0.0 })
 
+(* At 1e12 ops/s over 2 domains the per-domain arrival interval rounds to
+   0 ns: the arrival clock would never advance past the warmup, so nothing
+   would be recorded. *)
+let test_loadgen_rejects_zero_interval () =
+  match
+    Loadgen.run (module Mc_fig3)
+      {
+        Loadgen.default with
+        loop = Loadgen.Open_rate 1e12;
+        warmup_s = 0.01;
+        duration_s = 0.05;
+      }
+  with
+  | exception Invalid_argument _ -> ()
+  | rep ->
+    Alcotest.failf "accepted: %d updates, %d scans recorded" rep.Loadgen.updates
+      rep.Loadgen.scans
+
+(* Every stack of the registry over real atomics serves both operation
+   kinds, through the selection the command line makes. *)
+let test_every_registry_stack_serves () =
+  let module Cli = Psnap_harness.Loadgen_cli in
+  List.iter
+    (fun impl ->
+      let (module S : Snapshot.S), _ =
+        Cli.stack (Psnap_harness.Scenario.parse Cli.default Cli.flags [ "--impl"; impl ])
+      in
+      let rep =
+        Loadgen.run
+          (module S)
+          {
+            Loadgen.default with
+            m = 64;
+            r = 4;
+            warmup_s = 0.01;
+            duration_s = 0.05;
+          }
+      in
+      check_bool (impl ^ ": updates") true (rep.Loadgen.updates > 0);
+      check_bool (impl ^ ": scans") true (rep.Loadgen.scans > 0))
+    (List.map fst Cli.Mc_stack.bases @ Psnap_harness.Stack.layered)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -523,6 +558,10 @@ let () =
       ( "loadgen",
         [
           Alcotest.test_case "smoke (2 domains)" `Quick test_loadgen_smoke;
+          Alcotest.test_case "open-loop interval of 0 ns rejected" `Quick
+            test_loadgen_rejects_zero_interval;
+          Alcotest.test_case "every registry stack serves (50 ms each)" `Quick
+            test_every_registry_stack_serves;
           Alcotest.test_case "config validation" `Quick
             test_loadgen_validates_config;
         ] );

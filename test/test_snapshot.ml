@@ -9,17 +9,20 @@ let check_bool = Alcotest.(check bool)
 
 module type SNAP = Snapshot.S
 
+(* A flat algorithm from the stack registry over the simulator. *)
+let sim name = List.assoc name Psnap_harness.Scenarios.Sim_stack.bases
+
 let impls : (string * (module SNAP)) list =
   [
-    ("afek-full", (module Sim_afek));
-    ("fig1-reg", (module Sim_fig1));
+    ("afek-full", sim "afek");
+    ("fig1-reg", sim "fig1");
     ("fig3-cas", (module Sim_fig3));
-    ("fig3-cas/bounded-aset", (module Sim_fig3_bounded_aset));
-    ("fig1-small-regs", (module Sim_fig1_small));
-    ("fig3-small-regs", (module Sim_fig3_small));
-    ("farray", (module Sim_farray));
-    ("nonblocking", (module Sim_nonblocking));
-    ("fig1-adaptive", (module Sim_fig1_adaptive));
+    ("fig3-cas/bounded-aset", sim "fig3-bounded-aset");
+    ("fig1-small-regs", sim "fig1-small");
+    ("fig3-small-regs", sim "fig3-small");
+    ("farray", sim "farray");
+    ("nonblocking", sim "nonblocking");
+    ("fig1-adaptive", sim "fig1-adaptive");
   ]
 
 let in_sim ?sched f =

@@ -366,6 +366,29 @@ let test_lww_chaos_finds_lost_updates () =
   done;
   check_bool "oracle catches last-writer-wins" true !caught
 
+(* simulate --impl txn -m 2 -r 2 --nemesis NAME --seeds 10 --check: on
+   two components every chain grows past the pruning watermark, so
+   commits prune versions while the SI oracle checks every execution. *)
+let test_pruning_under_oracle () =
+  List.iter
+    (fun nemesis ->
+      let config =
+        {
+          Psnap_harness.Scenario.default with
+          impl = "txn";
+          m = 2;
+          r = 2;
+          nemesis;
+          seeds = 10;
+          check = true;
+        }
+      in
+      check_int (nemesis ^ ": SI-clean") 0
+        (Psnap_harness.Campaign.run config (Psnap_harness.Scenarios.txn config));
+      check_bool (nemesis ^ ": versions pruned") true
+        ((Metrics.txn ()).Metrics.pruned_versions > 0))
+    [ "chaos"; "crash-restart" ]
+
 (* ---- the committed E20 witness ---- *)
 
 let e20_witness =
@@ -486,6 +509,8 @@ let () =
             `Quick test_starved_committer_bounded_abort;
           Alcotest.test_case "oracle catches lww (20 seeds)" `Quick
             test_lww_chaos_finds_lost_updates;
+          Alcotest.test_case "pruning under chaos and crash-restart (m=2)"
+            `Quick test_pruning_under_oracle;
         ] );
       ( "e20",
         [
